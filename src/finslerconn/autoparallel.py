@@ -28,7 +28,14 @@ from typing import Callable
 import numpy as np
 
 from . import dsl
-from .connection import constraint_residuals, moment_map
+from .connection import (
+    FD_STEP,
+    _richardson,
+    _solve_G_batch,
+    _stencil,
+    constraint_residuals,
+    moment_map,
+)
 from .degeneracy import DegeneracyData, FrozenStructure, analyze, analyze_frozen, freeze
 from .errors import (
     ConsistencyError,
@@ -54,6 +61,9 @@ __all__ = [
 
 ROW_ZERO_TOL = 1e-8  # first-class / second-class classifier
 CONSISTENCY_TOL = 1e-6
+# central-difference step of the constraint gradients, relative to
+# 1 + |x_i| in x and to |dx| in dx
+C_FD_SCALE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -117,6 +127,8 @@ class Trajectory:
     halt_reason: str | None = None
     projected_steps: int = 0
     rank_tol: float = 1e-9
+    constraint_tol: float = 1e-10
+    project: bool = False
     initial: tuple[np.ndarray, np.ndarray] | None = None
     events: list[tuple[int, str]] = field(default_factory=list)
 
@@ -207,15 +219,14 @@ def _c_gradients(
     x: np.ndarray,
     dx: np.ndarray,
     frozen: FrozenStructure,
-    fd_scale: float = 1e-5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C, dC/dx, dC/d(dx)) by central differences on the frozen branch."""
     n1 = x.shape[0]
     D = frozen.D
     if D == 0:
         return np.zeros(0), np.zeros((0, n1)), np.zeros((0, n1))
-    hx = fd_scale * (1.0 + np.abs(x))
-    hd = fd_scale * float(np.linalg.norm(dx))
+    hx = C_FD_SCALE * (1.0 + np.abs(x))
+    hd = C_FD_SCALE * float(np.linalg.norm(dx))
     states_x = [x]
     states_dx = [dx]
     for i in range(n1):
@@ -249,7 +260,6 @@ def _resolve(
     gauge: GaugeChoice,
     tau: float,
     frozen: FrozenStructure,
-    fd_scale: float = 1e-5,
 ) -> MultiplierResolution:
     n1 = jet.dimension
     x, dx = jet.x, jet.dx
@@ -296,7 +306,7 @@ def _resolve(
         raise ValueError(f"unknown gauge kind {gauge.kind!r}")
 
     if D:
-        _, gx, gdx = _c_gradients(spec, x, dx, frozen, fd_scale=fd_scale)
+        _, gx, gdx = _c_gradients(spec, x, dx, frozen)
         rows = np.zeros((D, unknowns))
         rhs = np.zeros(D)
         row_scales = np.zeros(D)
@@ -448,12 +458,11 @@ def _project_onto_constraints(
     x: np.ndarray,
     dx: np.ndarray,
     frozen: FrozenStructure,
-    fd_scale: float,
     iterations: int = 3,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares pullback of (x, dx) onto C = 0 (Gauss-Newton)."""
     for _ in range(iterations):
-        C, gx, gdx = _c_gradients(spec, x, dx, frozen, fd_scale=fd_scale)
+        C, gx, gdx = _c_gradients(spec, x, dx, frozen)
         if not C.size or np.max(np.abs(C)) == 0.0:
             break
         J = np.hstack([gx, gdx])
@@ -463,37 +472,38 @@ def _project_onto_constraints(
     return x, dx
 
 
-def integrate(
+def _rk4(rates, y: tuple, tau: float, h: float, k1: tuple) -> tuple:
+    """One classical RK4 step of the state tuple ``y``; ``k1`` holds the
+    rates at its start and ``rates(y, tau)`` evaluates the others."""
+    k2 = rates(tuple(a + 0.5 * h * k for a, k in zip(y, k1)), tau + 0.5 * h)
+    k3 = rates(tuple(a + 0.5 * h * k for a, k in zip(y, k2)), tau + 0.5 * h)
+    k4 = rates(tuple(a + h * k for a, k in zip(y, k3)), tau + h)
+    return tuple(
+        a + (h / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+        for a, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4)
+    )
+
+
+# runtime failures that end a run with ``halt_reason`` instead of raising
+_HALTING_ERRORS = (DomainError, ConsistencyError, DegeneracyError)
+
+
+def _run(
     spec: dsl.MetricSpec,
-    x0,
-    dx0,
-    gauge: GaugeChoice,
+    traj: Trajectory,
     steps: int,
-    h: float,
-    rank_tol: float = 1e-9,
-    constraint_tol: float = 1e-10,
-    project: bool = False,
-    fd_scale: float = 1e-5,
-) -> Trajectory:
-    """Integrate the auto-parallel equation with classical fixed-step RK4.
+    Z: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """The stepper behind :func:`integrate` and :func:`parallel_transport`.
 
-    Per stage the jet, degeneracy data and multipliers are recomputed on
-    the structural branch frozen at the step's start node; across nodes the
-    structure is re-analyzed, rank transitions are logged and eigenvector
-    signs re-anchored.  Runtime failures (leaving the admissible domain,
-    multiplier inconsistency, frame degeneration) halt the trajectory and
-    return the completed part with ``halt_reason`` set; precondition
-    violations raise :class:`InvalidStateError` instead.
-
-    ``project=True`` enables the logged least-squares pullback onto the
-    constraint surface when the drift exceeds 10x ``constraint_tol``.
+    Advances ``traj.initial`` by ``steps`` RK4 steps with the settings
+    ``traj`` carries, appending nodes, events and the halt reason to it.
+    An optional passenger ``Z`` rides along under dZ + N(x, Z) . dx = 0;
+    its value at each node reached is returned, and its failures halt the
+    run like the curve's own.
     """
-    if steps < 1:
-        raise InvalidStateError("steps must be at least 1")
-    if h <= 0:
-        raise InvalidStateError("step size must be positive")
-    x = np.asarray(x0, dtype=float)
-    dx = np.asarray(dx0, dtype=float)
+    gauge, h, rank_tol = traj.gauge, traj.h, traj.rank_tol
+    x, dx = traj.initial
     try:
         dsl.require_admissible(spec, x, dx)
         jet = compute_jet(spec, x=x, dx=dx)  # validates homogeneity identities
@@ -503,10 +513,10 @@ def integrate(
 
     C0 = constraint_residuals(jet, deg)
     c_scale = max(_constraint_scale(jet), 1e-300)
-    if C0.size and float(np.max(np.abs(C0))) > constraint_tol * c_scale:
+    if C0.size and float(np.max(np.abs(C0))) > traj.constraint_tol * c_scale:
         raise InvalidStateError(
             f"initial constraint residuals {C0.tolist()} exceed tolerance "
-            f"{constraint_tol:g} (scale {c_scale:.3e})"
+            f"{traj.constraint_tol:g} (scale {c_scale:.3e})"
         )
     if gauge.kind == "arclength" and abs(jet.L - 1.0) > 1e-10:
         raise InvalidStateError(
@@ -515,54 +525,40 @@ def integrate(
     if gauge.kind == "time" and abs(dx[0]) == 0.0:
         raise InvalidStateError("time gauge requires dx0[0] != 0")
 
-    traj = Trajectory(
-        gauge=gauge, h=h, steps_requested=steps, nodes=[],
-        rank_tol=rank_tol, initial=(x.copy(), dx.copy()),
-    )
     tau = 0.0
     structure = (deg.rank, deg.a_indices, deg.I_indices)
     pending_events: list[str] = []
+    Zs: list[np.ndarray] = []
 
     for k in range(steps + 1):
         frozen = freeze(deg)
 
-        def f(x_s, dx_s, tau_s):
-            jet_s = (
-                jet
-                if x_s is x and dx_s is dx
-                else compute_jet(spec, x=x_s, dx=dx_s, validate=False)
-            )
-            deg_s = deg if jet_s is jet else analyze_frozen(jet_s, frozen)
-            res = _resolve(spec, jet_s, deg_s, gauge, tau_s, frozen, fd_scale=fd_scale)
-            return res
+        def rates(y, tau_s, res=None):
+            # y = (x, dx) or (x, dx, Z); stages stay on the frozen branch
+            if res is None:
+                jet_s = compute_jet(spec, x=y[0], dx=y[1], validate=False)
+                res = _resolve(spec, jet_s, analyze_frozen(jet_s, frozen), gauge, tau_s, frozen)
+            if len(y) == 2:
+                return y[1], res.accel
+            return y[1], res.accel, _transport_rhs(spec, y[0], y[2], y[1], rank_tol)
 
         try:
-            res1 = f(x, dx, tau)
-        except (DomainError, ConsistencyError, DegeneracyError) as exc:
+            res1 = _resolve(spec, jet, deg, gauge, tau, frozen)
+            traj.nodes.append(_node_from(res1, tau, tuple(pending_events)))
+            if Z is not None:
+                Zs.append(Z)
+            pending_events = []
+            if k == steps:
+                break
+            y = (x, dx) if Z is None else (x, dx, Z)
+            y_new = _rk4(rates, y, tau, h, rates(y, tau, res1))
+        except _HALTING_ERRORS as exc:
             traj.halt_reason = f"{type(exc).__name__}: {exc}"
             break
-        traj.nodes.append(_node_from(res1, tau, tuple(pending_events)))
-        pending_events = []
-        if k == steps:
-            break
-
-        try:
-            k1x, k1d = dx, res1.accel
-            r2 = f(x + 0.5 * h * k1x, dx + 0.5 * h * k1d, tau + 0.5 * h)
-            k2x, k2d = dx + 0.5 * h * k1d, r2.accel
-            r3 = f(x + 0.5 * h * k2x, dx + 0.5 * h * k2d, tau + 0.5 * h)
-            k3x, k3d = dx + 0.5 * h * k2d, r3.accel
-            r4 = f(x + h * k3x, dx + h * k3d, tau + h)
-            k4x, k4d = dx + h * k3d, r4.accel
-        except (DomainError, ConsistencyError, DegeneracyError) as exc:
-            traj.halt_reason = f"{type(exc).__name__}: {exc}"
-            break
-
-        x_new = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        dx_new = dx + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        x_new, dx_new = y_new[:2]
         tau += h
 
-        if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(dx_new))):
+        if not all(np.all(np.isfinite(a)) for a in y_new):
             traj.halt_reason = "non-finite state"
             break
         try:
@@ -598,12 +594,10 @@ def integrate(
             structure = new_structure
         deg = deg_new
 
-        if project and deg.D:
+        if traj.project and deg.D:
             C_now = constraint_residuals(jet, deg)
-            if float(np.max(np.abs(C_now))) > 10.0 * constraint_tol * c_scale:
-                x_new, dx_new = _project_onto_constraints(
-                    spec, x_new, dx_new, freeze(deg), fd_scale
-                )
+            if float(np.max(np.abs(C_now))) > 10.0 * traj.constraint_tol * c_scale:
+                x_new, dx_new = _project_onto_constraints(spec, x_new, dx_new, freeze(deg))
                 jet = compute_jet(spec, x=x_new, dx=dx_new, validate=False)
                 deg = analyze(jet, rank_tol=rank_tol)
                 deg, _ = _reanchor(deg, deg_new.v_raw)
@@ -611,8 +605,53 @@ def integrate(
                 pending_events.append("projected")
                 traj.events.append((k + 1, "projected"))
 
+        if Z is not None:
+            try:
+                dsl.require_admissible(spec, x_new, y_new[2])
+            except DomainError as exc:
+                traj.halt_reason = f"transported vector leaves the admissible cone: {exc}"
+                break
+            Z = y_new[2]
         x, dx = x_new, dx_new
 
+    return Zs
+
+
+def integrate(
+    spec: dsl.MetricSpec,
+    x0,
+    dx0,
+    gauge: GaugeChoice,
+    steps: int,
+    h: float,
+    rank_tol: float = 1e-9,
+    constraint_tol: float = 1e-10,
+    project: bool = False,
+) -> Trajectory:
+    """Integrate the auto-parallel equation with classical fixed-step RK4.
+
+    Per stage the jet, degeneracy data and multipliers are recomputed on
+    the structural branch frozen at the step's start node; across nodes the
+    structure is re-analyzed, rank transitions are logged and eigenvector
+    signs re-anchored.  Runtime failures (leaving the admissible domain,
+    multiplier inconsistency, frame degeneration) halt the trajectory and
+    return the completed part with ``halt_reason`` set; precondition
+    violations raise :class:`InvalidStateError` instead.
+
+    ``project=True`` enables the logged least-squares pullback onto the
+    constraint surface when the drift exceeds 10x ``constraint_tol``.
+    """
+    if steps < 1:
+        raise InvalidStateError("steps must be at least 1")
+    if h <= 0:
+        raise InvalidStateError("step size must be positive")
+    x = np.asarray(x0, dtype=float)
+    dx = np.asarray(dx0, dtype=float)
+    traj = Trajectory(
+        gauge=gauge, h=h, steps_requested=steps, nodes=[], rank_tol=rank_tol,
+        constraint_tol=constraint_tol, project=project, initial=(x.copy(), dx.copy()),
+    )
+    _run(spec, traj, steps)
     return traj
 
 
@@ -623,11 +662,16 @@ def integrate(
 
 @dataclass
 class TransportResult:
-    """Vector field transported along a trajectory, with norm diagnostics."""
+    """Vector field transported along a trajectory, with norm diagnostics.
+
+    ``halt_reason`` is set when the transport stopped early; ``Z`` and
+    ``L_values`` then end at the last node reached.
+    """
 
     Z: np.ndarray  # (nodes, n+1)
     L_values: np.ndarray
     drift: float
+    halt_reason: str | None = None
 
     @property
     def initial_norm(self) -> float:
@@ -640,102 +684,44 @@ def _transport_rhs(
     Z: np.ndarray,
     velocity: np.ndarray,
     rank_tol: float,
-    rel_step: float,
 ) -> np.ndarray:
     """-dG/d(dx)(x, Z) contracted with the curve velocity, by directional FD."""
-    from .connection import _solve_G_batch  # local import to avoid a cycle
-
     jet_z = compute_jet(spec, x=x, dx=Z, validate=False)
-    deg_z = analyze(jet_z, rank_tol=rank_tol)
-    frozen = freeze(deg_z)
+    frozen = freeze(analyze(jet_z, rank_tol=rank_tol))
     vnorm = float(np.linalg.norm(velocity))
-    s = rel_step * float(np.linalg.norm(Z)) / max(vnorm, 1e-300)
-    dirs = np.array([Z + s * velocity, Z - s * velocity,
-                     Z + 0.5 * s * velocity, Z - 0.5 * s * velocity])
-    G = _solve_G_batch(spec, x, dirs, frozen, None)
-    d_h = (G[0] - G[1]) / (2.0 * s)
-    d_h2 = (G[2] - G[3]) / s
-    return -(4.0 * d_h2 - d_h) / 3.0
+    s = FD_STEP * float(np.linalg.norm(Z)) / max(vnorm, 1e-300)
+    G = _solve_G_batch(spec, x, np.array(_stencil(Z, s, velocity)), frozen, None)
+    return -_richardson(G, s)
 
 
-def parallel_transport(
-    spec: dsl.MetricSpec,
-    curve: Trajectory,
-    Z0,
-    rank_tol: float | None = None,
-    rel_step: float = 1e-4,
-    fd_scale: float = 1e-5,
-) -> TransportResult:
-    """Transport Z along a trajectory by re-integrating the curve's flow
-    jointly with dZ + N(x, Z) . dx = 0.
+def parallel_transport(spec: dsl.MetricSpec, curve: Trajectory, Z0) -> TransportResult:
+    """Transport Z along a trajectory: dZ + N(x, Z) . dx = 0.
 
-    The curve must carry its integration setup (gauge, h, initial state);
-    the joint RK4 re-derives the same curve stages, so the transported
-    vector converges at the stepper's order.  The metric value L(x, Z) is
-    recorded per node; its drift is the norm-conservation defect.
+    The curve's own stepper is replayed from its initial state with its
+    settings (gauge, h, rank and constraint tolerances, projection), with
+    Z riding along, so Z is carried exactly through the curve's returned
+    nodes, projected steps included, and converges at the stepper's
+    order.  The metric value L(x, Z) is recorded per node; its drift is
+    the norm-conservation defect.  A runtime failure of the transport
+    (Z leaving the admissible cone, a degenerate direction Hessian at Z)
+    ends it early with ``halt_reason`` set; a Z0 outside the admissible
+    cone raises :class:`DomainError`.
     """
-    if curve.initial is None:
-        raise InvalidStateError("trajectory does not carry its initial state")
-    rank_tol = curve.rank_tol if rank_tol is None else rank_tol
-    x, dx = (arr.copy() for arr in curve.initial)
-    Z = np.asarray(Z0, dtype=float).copy()
-    gauge, h = curve.gauge, curve.h
-    steps = len(curve.nodes) - 1
-
+    if curve.initial is None or not curve.nodes:
+        raise InvalidStateError("trajectory does not carry its initial state and a node")
+    Z0 = np.asarray(Z0, dtype=float)
     try:
-        dsl.require_admissible(spec, x, Z)
+        dsl.require_admissible(spec, curve.initial[0], Z0)
     except DomainError as exc:
         raise DomainError(f"transported vector leaves the admissible cone: {exc}") from exc
 
-    jet = compute_jet(spec, x=x, dx=dx, validate=False)
-    deg = analyze(jet, rank_tol=rank_tol)
-
-    Zs = [Z.copy()]
-    L_vals = [float(dsl.eval_values(spec.expr, spec.params, x[None, :], Z[None, :])[0])]
-
-    tau = 0.0
-    for _ in range(steps):
-        frozen = freeze(deg)
-
-        def f(x_s, dx_s, Z_s, tau_s):
-            jet_s = (
-                jet
-                if x_s is x and dx_s is dx
-                else compute_jet(spec, x=x_s, dx=dx_s, validate=False)
-            )
-            deg_s = deg if jet_s is jet else analyze_frozen(jet_s, frozen)
-            res = _resolve(spec, jet_s, deg_s, gauge, tau_s, frozen, fd_scale=fd_scale)
-            zdot = _transport_rhs(spec, x_s, Z_s, dx_s, rank_tol, rel_step)
-            return res.accel, zdot
-
-        a1, z1 = f(x, dx, Z, tau)
-        a2, z2 = f(x + 0.5 * h * dx, dx + 0.5 * h * a1, Z + 0.5 * h * z1, tau + 0.5 * h)
-        a3, z3 = f(
-            x + 0.5 * h * (dx + 0.5 * h * a1),
-            dx + 0.5 * h * a2,
-            Z + 0.5 * h * z2,
-            tau + 0.5 * h,
-        )
-        a4, z4 = f(x + h * (dx + 0.5 * h * a2), dx + h * a3, Z + h * z3, tau + h)
-
-        k1x, k2x, k3x, k4x = dx, dx + 0.5 * h * a1, dx + 0.5 * h * a2, dx + h * a3
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        dx = dx + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
-        Z = Z + (h / 6.0) * (z1 + 2 * z2 + 2 * z3 + z4)
-        tau += h
-
-        try:
-            dsl.require_admissible(spec, x, Z)
-        except DomainError as exc:
-            raise DomainError(
-                f"transported vector leaves the admissible cone: {exc}"
-            ) from exc
-        jet = compute_jet(spec, x=x, dx=dx, validate=False)
-        deg = analyze(jet, rank_tol=rank_tol)
-        Zs.append(Z.copy())
-        L_vals.append(float(dsl.eval_values(spec.expr, spec.params, x[None, :], Z[None, :])[0]))
-
-    L_arr = np.array(L_vals)
+    replay = replace(curve, nodes=[], halt_reason=None, projected_steps=0, events=[])
+    Zs = _run(spec, replay, len(curve.nodes) - 1, Z0)
+    L_arr = np.array([
+        float(dsl.eval_values(spec.expr, spec.params, node.x[None, :], Z[None, :])[0])
+        for node, Z in zip(replay.nodes, Zs)
+    ])
     return TransportResult(
-        Z=np.array(Zs), L_values=L_arr, drift=float(np.max(np.abs(L_arr - L_arr[0])))
+        Z=np.array(Zs), L_values=L_arr, drift=float(np.max(np.abs(L_arr - L_arr[0]))),
+        halt_reason=replay.halt_reason,
     )

@@ -24,7 +24,15 @@ from typing import Callable
 import numpy as np
 
 from . import dsl
-from .degeneracy import DegeneracyData, FrozenStructure, analyze, analyze_frozen, freeze
+from .degeneracy import (
+    DegeneracyData,
+    FrozenStructure,
+    analyze,
+    analyze_frozen,
+    freeze,
+    index_split,
+    null_vectors,
+)
 from .errors import DegeneracyError
 from .jet import Jet2, TangentPoint, compute_jets
 
@@ -44,6 +52,9 @@ __all__ = [
 # effectively blowing up (approach to a rank transition); well-conditioned
 # points sit at O(1)..O(100)
 LAMBDA_BLOWUP_RATIO = 1e4
+# Richardson step relative to the differentiated argument: |dx| for N and
+# the direction derivatives of N, 1 + |x_b| for the x-derivatives of N
+FD_STEP = 1e-4
 
 GaugeFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -226,40 +237,40 @@ def _with_a_set(jet: Jet2, deg: DegeneracyData, a_indices: tuple[int, ...]) -> D
     smax = float(deg.sing_values[0]) if deg.sing_values.size else 0.0
     if len(a_indices) and sv[-1] <= 1e-14 * max(smax, 1e-300):
         raise DegeneracyError("candidate regular block is singular", a_indices=a_indices)
-    complement = [i for i in range(jet.dimension) if i not in a_indices]
-    dx_hat = np.abs(jet.dx) / float(np.linalg.norm(jet.dx))
-    zero_index = max(complement, key=lambda i: (dx_hat[i], -i))
-    if tuple(i for i in complement if i != zero_index) != deg.I_indices:
+    zero_index, I_indices = index_split(jet, a_indices)
+    nulls = {}
+    if I_indices != deg.I_indices:
         # eigenvectors are tied to the I split; recompute them
-        from .degeneracy import _eigvec_from_axis, _null_projector  # noqa: PLC0415
-
         _, _, Vt = np.linalg.svd(jet.L2)
-        proj = _null_projector(Vt, deg.rank)
-        I_indices = tuple(i for i in complement if i != zero_index)
-        vs, raws, skips, residuals = [], [], [], []
-        for i in I_indices:
-            v, raw, skipped, res = _eigvec_from_axis(proj, i, jet, anchor=None)
-            vs.append(v)
-            raws.append(raw)
-            skips.append(skipped)
-            residuals.append(res)
-        return replace(
-            deg,
-            v=np.array(vs) if vs else np.zeros((0, jet.dimension)),
-            v_raw=np.array(raws) if raws else np.zeros((0, jet.dimension)),
-            a_indices=tuple(a_indices),
-            I_indices=I_indices,
-            zero_index=zero_index,
-            Lab_inv=np.linalg.inv(block) if len(a_indices) else np.zeros((0, 0)),
-            p_residuals=np.array(residuals),
-            correction_skipped=tuple(skips),
-        )
+        nulls = null_vectors(jet, Vt, deg.rank, I_indices)
     return replace(
         deg,
+        **nulls,
         a_indices=tuple(a_indices),
+        I_indices=I_indices,
         zero_index=zero_index,
         Lab_inv=np.linalg.inv(block) if len(a_indices) else np.zeros((0, 0)),
     )
+
+
+def _stencil(base: np.ndarray, h: float, direction: np.ndarray) -> list[np.ndarray]:
+    """The points base + c * h * direction, c in (1, -1, 1/2, -1/2), at
+    which :func:`_richardson` takes its values."""
+    return [base + c * h * direction for c in (1.0, -1.0, 0.5, -0.5)]
+
+
+def _richardson(values, h: float):
+    """Richardson-extrapolated central difference from the values at the
+    :func:`_stencil` points: (4 D(h/2) - D(h)) / 3, fourth order in h."""
+    fp, fm, fp2, fm2 = values
+    return (4.0 * ((fp2 - fm2) / h) - (fp - fm) / (2.0 * h)) / 3.0
+
+
+def _gap_ratio(deg: DegeneracyData) -> float:
+    sv = deg.sing_values
+    if 0 < deg.rank < sv.size and sv[deg.rank] > 0:
+        return float(sv[deg.rank - 1] / sv[deg.rank])
+    return np.inf
 
 
 def _solve_G_batch(
@@ -285,8 +296,6 @@ def coefficients_N(
     pt: TangentPoint,
     rank_tol: float = 1e-9,
     gauge: GaugeFunction | None = None,
-    rel_step: float = 1e-4,
-    frozen: FrozenStructure | None = None,
 ) -> ConnectionData:
     """Connection coefficients N = dG/d(dx) by Richardson-extrapolated
     central differences.
@@ -299,34 +308,22 @@ def coefficients_N(
     """
     jet = compute_jets(spec, pt.x[None, :], pt.dx[None, :], validate=False)[0]
     deg = analyze(jet, rank_tol=rank_tol)
-    if frozen is None:
-        frozen = freeze(deg)
     base = solve_G(jet, deg, gauge_lambdaI=gauge(pt.x, pt.dx) if gauge else None)
 
     n1 = spec.dimension
-    h = rel_step * float(np.linalg.norm(pt.dx))
-    stencil = []
-    for alpha in range(n1):
-        e = np.zeros(n1)
-        e[alpha] = 1.0
-        for s in (h, -h, 0.5 * h, -0.5 * h):
-            stencil.append(pt.dx + s * e)
+    h = FD_STEP * float(np.linalg.norm(pt.dx))
+    stencil = [p for e in np.eye(n1) for p in _stencil(pt.dx, h, e)]
     try:
-        G_vals = _solve_G_batch(spec, pt.x, np.array(stencil), frozen, gauge)
+        G_vals = _solve_G_batch(spec, pt.x, np.array(stencil), freeze(deg), gauge)
     except DegeneracyError as exc:
-        sv = deg.sing_values
-        gap = float(sv[deg.rank - 1] / sv[deg.rank]) if 0 < deg.rank < sv.size and sv[deg.rank] > 0 else np.inf
         raise DegeneracyError(
             f"finite differencing of G failed near a rank transition: {exc}",
-            gap_ratio=gap, sing_values=sv.tolist(),
+            gap_ratio=_gap_ratio(deg), sing_values=deg.sing_values.tolist(),
         ) from exc
 
     N = np.empty((n1, n1))
     for alpha in range(n1):
-        gp, gm, gp2, gm2 = G_vals[4 * alpha : 4 * alpha + 4]
-        d_h = (gp - gm) / (2.0 * h)
-        d_h2 = (gp2 - gm2) / h
-        N[:, alpha] = (4.0 * d_h2 - d_h) / 3.0
+        N[:, alpha] = _richardson(G_vals[4 * alpha : 4 * alpha + 4], h)
 
     # Euler check for the degree-2 spray: N.dx = 2G.  A large defect means
     # the stencil straddled a pole or branch of the frozen structure (rank
@@ -334,16 +331,10 @@ def coefficients_N(
     defect = float(np.linalg.norm(N @ pt.dx - 2.0 * base.G))
     scale = max(float(np.linalg.norm(2.0 * base.G)), float(np.linalg.norm(N)) * float(np.linalg.norm(pt.dx)))
     if defect > 1e-6 * scale + 1e-300:
-        sv = deg.sing_values
-        gap = (
-            float(sv[deg.rank - 1] / sv[deg.rank])
-            if 0 < deg.rank < sv.size and sv[deg.rank] > 0
-            else np.inf
-        )
         raise DegeneracyError(
             f"finite differencing of G failed near a rank transition: "
             f"N.dx = 2G defect {defect:.3e} at scale {scale:.3e}",
-            gap_ratio=gap, sing_values=sv.tolist(),
+            gap_ratio=_gap_ratio(deg), sing_values=deg.sing_values.tolist(),
         )
     return replace(base, N=N, fd_steps={"dx_step": h, "richardson": True})
 
@@ -351,7 +342,6 @@ def coefficients_N(
 def curvature_torsion(
     spec: dsl.MetricSpec,
     pt: TangentPoint,
-    step: float = 1e-4,
     rank_tol: float = 1e-9,
     gauge: GaugeFunction | None = None,
 ) -> CurvatureData:
@@ -372,25 +362,17 @@ def curvature_torsion(
     N0 = N_at(x, dx)
 
     # dN/dx by Richardson central differences; stencil must stay admissible
-    hx = np.array([step * (1.0 + abs(x[b])) for b in range(n1)])
+    hx = FD_STEP * (1.0 + np.abs(x))
     dN_dx = np.empty((n1, n1, n1))  # [beta, mu, alpha]
-    for b in range(n1):
-        e = np.zeros(n1)
-        e[b] = 1.0
-        d_h = (N_at(x + hx[b] * e, dx) - N_at(x - hx[b] * e, dx)) / (2.0 * hx[b])
-        d_h2 = (N_at(x + 0.5 * hx[b] * e, dx) - N_at(x - 0.5 * hx[b] * e, dx)) / hx[b]
-        dN_dx[b] = (4.0 * d_h2 - d_h) / 3.0
+    for b, e in enumerate(np.eye(n1)):
+        dN_dx[b] = _richardson([N_at(xs, dx) for xs in _stencil(x, hx[b], e)], hx[b])
 
-    hd = step * float(np.linalg.norm(dx))
+    hd = FD_STEP * float(np.linalg.norm(dx))
     N2 = np.empty((n1, n1, n1))  # [mu, alpha, beta]
-    for a in range(n1):
-        e = np.zeros(n1)
-        e[a] = 1.0
-        d_h = (N_at(x, dx + hd * e) - N_at(x, dx - hd * e)) / (2.0 * hd)
-        d_h2 = (N_at(x, dx + 0.5 * hd * e) - N_at(x, dx - 0.5 * hd * e)) / hd
-        N2[:, a, :] = (4.0 * d_h2 - d_h) / 3.0
+    for a, e in enumerate(np.eye(n1)):
+        N2[:, a, :] = _richardson([N_at(x, ds) for ds in _stencil(dx, hd, e)], hd)
 
     # A[mu, beta, gamma] = dN[mu,gamma]/dx[beta] + N2[mu,alpha,beta] N[alpha,gamma]
     A = dN_dx.transpose(1, 0, 2) + np.einsum("mab,ag->mbg", N2, N0)
     R = A - A.transpose(0, 2, 1)
-    return CurvatureData(R=R, N2=N2, x_step=step, dx_step=hd)
+    return CurvatureData(R=R, N2=N2, x_step=FD_STEP, dx_step=hd)

@@ -85,11 +85,6 @@ def _best_a_sets(L2: np.ndarray, rank: int) -> list[tuple[float, tuple[int, ...]
     return scored
 
 
-def _null_projector(Vt: np.ndarray, rank: int) -> np.ndarray:
-    Nb = Vt[rank:]
-    return Nb.T @ Nb
-
-
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     nrm = np.linalg.norm(v)
     for comp in v:
@@ -142,11 +137,45 @@ def _eigvec_from_axis(
     return v, raw, skipped, residual
 
 
-def analyze(
+def null_vectors(
     jet: Jet2,
-    rank_tol: float = 1e-9,
-    pt: TangentPoint | None = None,
-) -> DegeneracyData:
+    Vt: np.ndarray,
+    rank: int,
+    I_indices: tuple[int, ...],
+    anchors: np.ndarray | None = None,
+) -> dict:
+    """The null vector closest to each I axis, as :class:`DegeneracyData`
+    fields (``v``, ``v_raw``, ``correction_skipped``, ``p_residuals``).
+
+    ``Vt`` holds the right singular vectors of ``jet.L2``; rows of
+    ``anchors`` fix the signs, otherwise they are deterministic.
+    """
+    Nb = Vt[rank:]
+    proj = Nb.T @ Nb
+    rows = [
+        _eigvec_from_axis(proj, i, jet, None if anchors is None else anchors[slot])
+        for slot, i in enumerate(I_indices)
+    ]
+    empty = np.zeros((0, jet.dimension))
+    return {
+        "v": np.array([r[0] for r in rows]) if rows else empty,
+        "v_raw": np.array([r[1] for r in rows]) if rows else empty,
+        "correction_skipped": tuple(r[2] for r in rows),
+        "p_residuals": np.array([r[3] for r in rows]),
+    }
+
+
+def index_split(jet: Jet2, a_indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(zero_index, I_indices): the coordinates outside the regular block,
+    the one most aligned with dx (lowest index on ties) taken as the flow
+    index and the rest as degenerate indices."""
+    complement = [i for i in range(jet.dimension) if i not in a_indices]
+    dx_hat = np.abs(jet.dx) / float(np.linalg.norm(jet.dx))
+    zero_index = max(complement, key=lambda i: (dx_hat[i], -i))
+    return zero_index, tuple(i for i in complement if i != zero_index)
+
+
+def analyze(jet: Jet2, rank_tol: float = 1e-9) -> DegeneracyData:
     """Determine rank, zero eigenvectors, index split and block inverse.
 
     Rank counts singular values above ``rank_tol`` relative to the largest.
@@ -156,7 +185,6 @@ def analyze(
     singular-value gap ratio below 10 around the threshold flags the rank
     as ambiguous without failing.
     """
-    del pt  # the jet carries its own point
     L2 = jet.L2
     n1 = L2.shape[0]
     n = n1 - 1
@@ -209,27 +237,11 @@ def analyze(
     else:
         Lab_inv = np.zeros((0, 0))
 
-    complement = [i for i in range(n1) if i not in a_indices]
-    dx_hat = np.abs(jet.dx) / dx_norm
-    zero_index = max(complement, key=lambda i: (dx_hat[i], -i))
-    I_indices = tuple(i for i in complement if i != zero_index)
-
-    proj = _null_projector(Vt, rank)
-    vs, raws, skips, residuals = [], [], [], []
-    for i in I_indices:
-        v, raw, skipped, res = _eigvec_from_axis(proj, i, jet, anchor=None)
-        vs.append(v)
-        raws.append(raw)
-        skips.append(skipped)
-        residuals.append(res)
-    v_arr = np.array(vs) if vs else np.zeros((0, n1))
-    raw_arr = np.array(raws) if raws else np.zeros((0, n1))
-
+    zero_index, I_indices = index_split(jet, a_indices)
     return DegeneracyData(
         rank=rank,
         D=D,
-        v=v_arr,
-        v_raw=raw_arr,
+        **null_vectors(jet, Vt, rank, I_indices),
         a_indices=tuple(a_indices),
         I_indices=I_indices,
         zero_index=zero_index,
@@ -237,8 +249,6 @@ def analyze(
         sing_values=sv,
         rank_ambiguous=ambiguous,
         gap_ratio=float(gap),
-        p_residuals=np.array(residuals),
-        correction_skipped=tuple(skips),
         dx_null_defect=dx_defect,
         a_candidates=tuple(combo for _, combo in ranked[:8]),
     )
@@ -262,17 +272,7 @@ def analyze_frozen(jet: Jet2, frozen: FrozenStructure) -> DegeneracyData:
     rank and eigenvector signs, so the result varies smoothly."""
     L2 = jet.L2
     _, sv, Vt = np.linalg.svd(L2)
-    proj = _null_projector(Vt, frozen.rank)
-    vs, raws, skips, residuals = [], [], [], []
-    for slot, i in enumerate(frozen.I_indices):
-        anchor = frozen.v_anchor[slot] if frozen.v_anchor.size else None
-        v, raw, skipped, res = _eigvec_from_axis(proj, i, jet, anchor=anchor)
-        vs.append(v)
-        raws.append(raw)
-        skips.append(skipped)
-        residuals.append(res)
-    v_arr = np.array(vs) if vs else np.zeros((0, L2.shape[0]))
-    raw_arr = np.array(raws) if raws else np.zeros((0, L2.shape[0]))
+    nulls = null_vectors(jet, Vt, frozen.rank, frozen.I_indices, frozen.v_anchor)
     if frozen.rank > 0:
         block = L2[np.ix_(frozen.a_indices, frozen.a_indices)]
         bs = np.linalg.svd(block, compute_uv=False)
@@ -291,8 +291,7 @@ def analyze_frozen(jet: Jet2, frozen: FrozenStructure) -> DegeneracyData:
     return DegeneracyData(
         rank=frozen.rank,
         D=frozen.D,
-        v=v_arr,
-        v_raw=raw_arr,
+        **nulls,
         a_indices=frozen.a_indices,
         I_indices=frozen.I_indices,
         zero_index=frozen.zero_index,
@@ -300,8 +299,6 @@ def analyze_frozen(jet: Jet2, frozen: FrozenStructure) -> DegeneracyData:
         sing_values=sv,
         rank_ambiguous=False,
         gap_ratio=np.inf,
-        p_residuals=np.array(residuals),
-        correction_skipped=tuple(skips),
         dx_null_defect=float(np.linalg.norm(L2 @ jet.dx)) / (smax * dx_norm)
         if smax > 0 else 0.0,
         a_candidates=(frozen.a_indices,),

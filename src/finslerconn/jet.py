@@ -188,7 +188,6 @@ class HomogeneityReport:
     g_violation: float | None = None
     n_violation: float | None = None
     c_violation: float | None = None
-    details: dict | None = None
 
     def max_violation(self) -> float:
         vals = [self.l_violation, self.g_violation, self.n_violation, self.c_violation]

@@ -407,11 +407,13 @@ def _check_norm_conservation(entry: CatalogEntry) -> list[CheckResult]:
     drifts = []
     l_drifts = []
     lambda0_max = 0.0
+    transported = True
     hs = (0.08, 0.04, 0.02)
     for h in hs:
         steps = int(round(0.8 / h))
         traj = integrate(entry.spec, x0, dx0, GaugeChoice.arclength(), steps=steps, h=h)
         tr = parallel_transport(entry.spec, traj, Z0)
+        transported = transported and tr.halt_reason is None
         drifts.append(tr.drift)
         l_drifts.append(max(abs(n.L - 1.0) for n in traj.nodes))
         lambda0_max = max(lambda0_max, max(abs(n.lambda0) for n in traj.nodes))
@@ -420,7 +422,7 @@ def _check_norm_conservation(entry: CatalogEntry) -> list[CheckResult]:
     return [
         CheckResult(
             name=f"transport/norm-conservation-order/{entry.name}",
-            passed=min(orders) >= 3.8,
+            passed=transported and min(orders) >= 3.8,
             value=float(min(orders)),
             threshold=3.8,
             detail=f"drifts {['%.2e' % d for d in drifts]} under step halving",

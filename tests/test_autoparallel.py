@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from finslerconn import autoparallel
 from finslerconn.autoparallel import (
     GaugeChoice,
     el_residual,
@@ -307,6 +308,46 @@ def test_transport_rejects_vector_outside_admissible_cone():
     traj = integrate(entry.spec, x0, dx0, GaugeChoice.time(), steps=10, h=1e-2)
     with pytest.raises(Exception, match="admissible cone"):
         parallel_transport(entry.spec, traj, np.array([-1.0, 0.1, 0.0, 0.0]))
+
+
+def test_transport_follows_projected_curve_nodes(monkeypatch):
+    entry = catalog_entry("second-class")
+    x0 = np.array([0.0, 0.8, 0.3])
+    dx0 = np.array([1.0, 0.3, -0.8])
+    traj = integrate(
+        entry.spec, x0, dx0, GaugeChoice.time(), steps=20, h=0.1,
+        project=True, constraint_tol=1e-14,
+    )
+    assert traj.completed and traj.projected_steps > 0
+    points = []
+    rhs = autoparallel._transport_rhs
+
+    def recording_rhs(spec, x, *args):
+        points.append(x)
+        return rhs(spec, x, *args)
+
+    monkeypatch.setattr(autoparallel, "_transport_rhs", recording_rhs)
+    res = parallel_transport(entry.spec, traj, np.array([1.0, 0.0, 0.0]))
+    assert res.halt_reason is None
+    assert len(res.Z) == len(traj.nodes)
+    # four RK4 stages per step; the first one sits on the step's start node
+    assert np.array_equal(np.array(points[0::4]), traj.xs[:-1])
+
+
+def test_transport_failure_is_a_structured_halt():
+    entry = catalog_entry("quartic-root")
+    x0 = np.array([-1.243, -0.790])
+    dx0 = np.array([0.357, 0.961])
+    dx0 = dx0 / evaluate(entry.spec, x0, dx0)
+    traj = integrate(entry.spec, x0, dx0, GaugeChoice.arclength(), steps=40, h=0.01)
+    assert traj.completed
+    c, s = np.cos(0.25), np.sin(0.25)
+    Z0 = np.array([c * dx0[0] - s * dx0[1], s * dx0[0] + c * dx0[1]])
+    res = parallel_transport(entry.spec, traj, Z0)
+    assert res.halt_reason is not None and "DegeneracyError" in res.halt_reason
+    assert 1 <= len(res.Z) < len(traj.nodes)
+    assert len(res.L_values) == len(res.Z)
+    np.testing.assert_array_equal(res.Z[0], Z0)
 
 
 def test_custom_gauge_with_zero_multiplier_matches_arclength():

@@ -1,10 +1,13 @@
 """Command-line interface: commands, exit codes, formats, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from finslerconn import verify
+from finslerconn.catalog import catalog_entry
 from finslerconn.cli import main
 
 
@@ -195,6 +198,21 @@ def test_verify_rejects_broken_metric(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "broken", "--extra-metric", str(bad))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_norm_conservation_fails_on_halted_transport(monkeypatch):
+    transport = verify.parallel_transport
+
+    def halted(*args):
+        return dataclasses.replace(transport(*args), halt_reason="DegeneracyError: injected")
+
+    entry = catalog_entry("riemann-2d-curved")
+    order_check = verify._check_norm_conservation(entry)[0]
+    assert order_check.passed
+    monkeypatch.setattr(verify, "parallel_transport", halted)
+    order_check = verify._check_norm_conservation(entry)[0]
+    assert order_check.name == "transport/norm-conservation-order/riemann-2d-curved"
+    assert not order_check.passed
 
 
 def test_verify_determinism_bytes(capsys):
