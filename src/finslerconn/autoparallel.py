@@ -131,6 +131,9 @@ class Trajectory:
     project: bool = False
     initial: tuple[np.ndarray, np.ndarray] | None = None
     events: list[tuple[int, str]] = field(default_factory=list)
+    # (x, dx) at the four RK4 stages of each step taken, shape (4, 2, n1)
+    # per step; parallel_transport integrates Z over them
+    _stages: list[np.ndarray] = field(default_factory=list, repr=False, compare=False)
 
     @property
     def taus(self) -> np.ndarray:
@@ -488,19 +491,12 @@ def _rk4(rates, y: tuple, tau: float, h: float, k1: tuple) -> tuple:
 _HALTING_ERRORS = (DomainError, ConsistencyError, DegeneracyError)
 
 
-def _run(
-    spec: dsl.MetricSpec,
-    traj: Trajectory,
-    steps: int,
-    Z: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """The stepper behind :func:`integrate` and :func:`parallel_transport`.
+def _run(spec: dsl.MetricSpec, traj: Trajectory, steps: int) -> None:
+    """The stepper behind :func:`integrate`.
 
     Advances ``traj.initial`` by ``steps`` RK4 steps with the settings
-    ``traj`` carries, appending nodes, events and the halt reason to it.
-    An optional passenger ``Z`` rides along under dZ + N(x, Z) . dx = 0;
-    its value at each node reached is returned, and its failures halt the
-    run like the curve's own.
+    ``traj`` carries, appending nodes, events, stage states and the halt
+    reason to it.
     """
     gauge, h, rank_tol = traj.gauge, traj.h, traj.rank_tol
     x, dx = traj.initial
@@ -528,37 +524,33 @@ def _run(
     tau = 0.0
     structure = (deg.rank, deg.a_indices, deg.I_indices)
     pending_events: list[str] = []
-    Zs: list[np.ndarray] = []
 
     for k in range(steps + 1):
         frozen = freeze(deg)
+        stage_states: list[tuple[np.ndarray, np.ndarray]] = []
 
         def rates(y, tau_s, res=None):
-            # y = (x, dx) or (x, dx, Z); stages stay on the frozen branch
+            # stages stay on the frozen branch
+            stage_states.append(y)
             if res is None:
                 jet_s = compute_jet(spec, x=y[0], dx=y[1], validate=False)
                 res = _resolve(spec, jet_s, analyze_frozen(jet_s, frozen), gauge, tau_s, frozen)
-            if len(y) == 2:
-                return y[1], res.accel
-            return y[1], res.accel, _transport_rhs(spec, y[0], y[2], y[1], rank_tol)
+            return y[1], res.accel
 
         try:
             res1 = _resolve(spec, jet, deg, gauge, tau, frozen)
             traj.nodes.append(_node_from(res1, tau, tuple(pending_events)))
-            if Z is not None:
-                Zs.append(Z)
             pending_events = []
             if k == steps:
                 break
-            y = (x, dx) if Z is None else (x, dx, Z)
-            y_new = _rk4(rates, y, tau, h, rates(y, tau, res1))
+            x_new, dx_new = _rk4(rates, (x, dx), tau, h, rates((x, dx), tau, res1))
         except _HALTING_ERRORS as exc:
             traj.halt_reason = f"{type(exc).__name__}: {exc}"
             break
-        x_new, dx_new = y_new[:2]
+        traj._stages.append(np.array(stage_states))
         tau += h
 
-        if not all(np.all(np.isfinite(a)) for a in y_new):
+        if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(dx_new))):
             traj.halt_reason = "non-finite state"
             break
         try:
@@ -605,16 +597,7 @@ def _run(
                 pending_events.append("projected")
                 traj.events.append((k + 1, "projected"))
 
-        if Z is not None:
-            try:
-                dsl.require_admissible(spec, x_new, y_new[2])
-            except DomainError as exc:
-                traj.halt_reason = f"transported vector leaves the admissible cone: {exc}"
-                break
-            Z = y_new[2]
         x, dx = x_new, dx_new
-
-    return Zs
 
 
 def integrate(
@@ -697,31 +680,61 @@ def _transport_rhs(
 def parallel_transport(spec: dsl.MetricSpec, curve: Trajectory, Z0) -> TransportResult:
     """Transport Z along a trajectory: dZ + N(x, Z) . dx = 0.
 
-    The curve's own stepper is replayed from its initial state with its
-    settings (gauge, h, rank and constraint tolerances, projection), with
-    Z riding along, so Z is carried exactly through the curve's returned
-    nodes, projected steps included, and converges at the stepper's
-    order.  The metric value L(x, Z) is recorded per node; its drift is
-    the norm-conservation defect.  A runtime failure of the transport
-    (Z leaving the admissible cone, a degenerate direction Hessian at Z)
+    Z is stepped by RK4 alone over the stage states (x, dx) that
+    :func:`integrate` recorded for each of the curve's steps, so it is
+    carried exactly through the curve's returned nodes, projected steps
+    included, converges at the stepper's order, and costs no curve work.
+    The metric value L(x, Z) is recorded per node; its drift is the
+    norm-conservation defect.  A runtime failure of the transport (Z
+    leaving the admissible cone, a degenerate direction Hessian at Z)
     ends it early with ``halt_reason`` set; a Z0 outside the admissible
-    cone raises :class:`DomainError`.
+    cone raises :class:`DomainError`, and a curve without a stage record
+    for each of its steps raises :class:`InvalidStateError`.
     """
-    if curve.initial is None or not curve.nodes:
-        raise InvalidStateError("trajectory does not carry its initial state and a node")
-    Z0 = np.asarray(Z0, dtype=float)
+    if not curve.nodes:
+        raise InvalidStateError("trajectory has no node")
+    steps = len(curve.nodes) - 1
+    if len(curve._stages) < steps:
+        raise InvalidStateError(
+            f"trajectory records the RK4 stages of {len(curve._stages)} of its {steps} "
+            "steps; transport needs a curve built by integrate"
+        )
+    Z = np.asarray(Z0, dtype=float)
     try:
-        dsl.require_admissible(spec, curve.initial[0], Z0)
+        dsl.require_admissible(spec, curve.nodes[0].x, Z)
     except DomainError as exc:
         raise DomainError(f"transported vector leaves the admissible cone: {exc}") from exc
 
-    replay = replace(curve, nodes=[], halt_reason=None, projected_steps=0, events=[])
-    Zs = _run(spec, replay, len(curve.nodes) - 1, Z0)
+    Zs = [Z]
+    halt_reason = None
+    for k in range(steps):
+        stages = iter(curve._stages[k])
+
+        def rates(y, _tau):
+            x_s, dx_s = next(stages)
+            return (_transport_rhs(spec, x_s, y[0], dx_s, curve.rank_tol),)
+
+        try:
+            (Z_new,) = _rk4(rates, (Z,), 0.0, curve.h, rates((Z,), 0.0))
+        except _HALTING_ERRORS as exc:
+            halt_reason = f"{type(exc).__name__}: {exc}"
+            break
+        if not np.all(np.isfinite(Z_new)):
+            halt_reason = "non-finite state"
+            break
+        try:
+            dsl.require_admissible(spec, curve.nodes[k + 1].x, Z_new)
+        except DomainError as exc:
+            halt_reason = f"transported vector leaves the admissible cone: {exc}"
+            break
+        Z = Z_new
+        Zs.append(Z)
+
     L_arr = np.array([
         float(dsl.eval_values(spec.expr, spec.params, node.x[None, :], Z[None, :])[0])
-        for node, Z in zip(replay.nodes, Zs)
+        for node, Z in zip(curve.nodes, Zs)
     ])
     return TransportResult(
         Z=np.array(Zs), L_values=L_arr, drift=float(np.max(np.abs(L_arr - L_arr[0]))),
-        halt_reason=replay.halt_reason,
+        halt_reason=halt_reason,
     )

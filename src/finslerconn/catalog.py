@@ -110,42 +110,45 @@ class CatalogEntry:
 # ---------------------------------------------------------------------------
 
 
-def _metric_derivatives(g_fn, x: np.ndarray, step: float) -> np.ndarray:
-    """dg[c, i, j] = d g_ij / d x^c by Richardson-extrapolated central FD."""
+# complex-step size: Im g(x + i h e_c) / h is exact to rounding for any h
+# this small, with no subtractive cancellation
+COMPLEX_STEP = 1e-30
+
+
+def _metric_derivatives(g_fn, x: np.ndarray) -> np.ndarray:
+    """dg[c, i, j] = d g_ij / d x^c by the complex step; ``g_fn`` must
+    accept complex ``x``."""
     n1 = x.shape[0]
     dg = np.empty((n1, n1, n1))
     for c in range(n1):
         e = np.zeros(n1)
-        e[c] = 1.0
-        h = step * (1.0 + abs(x[c]))
-        d1 = (g_fn(x + h * e) - g_fn(x - h * e)) / (2.0 * h)
-        d2 = (g_fn(x + 0.5 * h * e) - g_fn(x - 0.5 * h * e)) / h
-        dg[c] = (4.0 * d2 - d1) / 3.0
+        e[c] = COMPLEX_STEP
+        dg[c] = np.imag(g_fn(x + 1j * e)) / COMPLEX_STEP
     return dg
 
 
-def christoffel_symbols(g_fn, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def christoffel_symbols(g_fn, x: np.ndarray) -> np.ndarray:
     """Gamma[mu, a, b] of the metric-compatible torsion-free connection."""
     g = g_fn(x)
     w = np.linalg.eigvalsh(g)
     if w[0] <= 0:
         raise DomainError(f"metric matrix is not positive definite at {x.tolist()}")
     ginv = np.linalg.inv(g)
-    dg = _metric_derivatives(g_fn, x, step)
+    dg = _metric_derivatives(g_fn, x)
     # Gamma^m_ab = 1/2 g^{mc} (d_b g_ca + d_a g_cb - d_c g_ab)
     term = np.einsum("bca->cab", dg) + np.einsum("acb->cab", dg) - dg
     return 0.5 * np.einsum("mc,cab->mab", ginv, term)
 
 
-def christoffel_oracle(g_fn, x, dx, step: float = 1e-5) -> np.ndarray:
+def christoffel_oracle(g_fn, x, dx) -> np.ndarray:
     """2G of a Riemannian metric: the geodesic quadratic form Gamma dx dx.
 
-    Entirely independent of the connection solver; ``g_fn`` maps x to the
-    symmetric positive-definite matrix.
+    Entirely independent of the connection solver; ``g_fn`` maps x, real
+    or complex, to the symmetric positive-definite matrix.
     """
     x = np.asarray(x, dtype=float)
     dx = np.asarray(dx, dtype=float)
-    gamma = christoffel_symbols(g_fn, x, step=step)
+    gamma = christoffel_symbols(g_fn, x)
     return np.einsum("mab,a,b->m", gamma, dx, dx)
 
 
@@ -251,7 +254,7 @@ def _euclidean_entry(n1: int) -> CatalogEntry:
 
 def _sphere_entry() -> CatalogEntry:
     def g(x):
-        return np.array([[1.0, 0.0], [0.0, math.sin(x[0]) ** 2]])
+        return np.array([[1.0, 0.0], [0.0, np.sin(x[0]) ** 2]])
 
     def gamma(x):
         th = x[0]
@@ -292,9 +295,9 @@ def _riemann3d_entry() -> CatalogEntry:
 
     def g(x):
         return np.array([
-            [2 + 0.5 * math.sin(x[1]), 0.3 * math.sin(x[2]), 0.2 * math.cos(x[1])],
-            [0.3 * math.sin(x[2]), 2 + 0.5 * math.cos(x[2]), 0.25 * math.sin(x[0])],
-            [0.2 * math.cos(x[1]), 0.25 * math.sin(x[0]), 2 + 0.4 * math.sin(x[0] + x[2])],
+            [2 + 0.5 * np.sin(x[1]), 0.3 * np.sin(x[2]), 0.2 * np.cos(x[1])],
+            [0.3 * np.sin(x[2]), 2 + 0.5 * np.cos(x[2]), 0.25 * np.sin(x[0])],
+            [0.2 * np.cos(x[1]), 0.25 * np.sin(x[0]), 2 + 0.4 * np.sin(x[0] + x[2])],
         ])
 
     return CatalogEntry(

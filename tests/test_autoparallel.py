@@ -6,6 +6,7 @@ import pytest
 from finslerconn import autoparallel
 from finslerconn.autoparallel import (
     GaugeChoice,
+    Trajectory,
     el_residual,
     integrate,
     parallel_transport,
@@ -282,6 +283,56 @@ def test_transport_matches_levi_civita_oracle():
     assert np.max(np.abs(res.Z - oracle)) < 1e-7
     # norm conservation over the unit parameter interval
     assert res.drift < 1e-6
+
+
+def test_transport_does_no_curve_work(monkeypatch):
+    entry = catalog_entry("riemann-2d-curved")
+    x0 = np.array([1.2, 0.3])
+    dx0 = np.array([0.6, 0.5])
+    dx0 = dx0 / evaluate(entry.spec, x0, dx0)
+    traj = integrate(entry.spec, x0, dx0, GaugeChoice.arclength(), steps=100, h=1e-2)
+    Z0 = np.array([0.2, -0.4])
+    expected = parallel_transport(entry.spec, traj, Z0)
+
+    def no_curve_work(*args, **kwargs):
+        raise AssertionError("parallel_transport resolved the curve's multipliers")
+
+    monkeypatch.setattr(autoparallel, "_resolve", no_curve_work)
+    res = parallel_transport(entry.spec, traj, Z0)
+    assert np.array_equal(res.Z, expected.Z)
+    assert res.halt_reason is None
+
+
+def test_transport_needs_the_stage_record():
+    entry = catalog_entry("euclidean-2")
+    traj = integrate(
+        entry.spec, np.zeros(2), np.array([0.6, 0.8]),
+        GaugeChoice.arclength(), steps=5, h=0.05,
+    )
+    by_hand = Trajectory(
+        gauge=traj.gauge, h=traj.h, steps_requested=5, nodes=traj.nodes,
+    )
+    with pytest.raises(InvalidStateError, match="RK4 stages"):
+        parallel_transport(entry.spec, by_hand, np.array([0.3, 0.1]))
+
+
+def test_transport_of_a_halted_curve_stops_at_its_last_node():
+    # the guard-exit curve of test_admissibility_exit_returns_partial_trajectory
+    entry = catalog_entry("riemann-2d-curved")
+    x0 = np.array([0.6, 0.0])
+    dx0 = np.array([-1.0, 0.02])
+    dx0 = dx0 / abs(evaluate(entry.spec, x0, dx0))
+    traj = integrate(entry.spec, x0, -dx0, GaugeChoice.arclength(), steps=2000, h=5e-3)
+    assert traj.halt_reason is not None
+    Z0 = np.array([0.2, -0.4])
+    res = parallel_transport(entry.spec, traj, Z0)
+    assert res.halt_reason is None
+    assert len(res.Z) == len(res.L_values) == len(traj.nodes)
+    # whatever the halted step left in the record is never read
+    del traj._stages[len(traj.nodes) - 1:]
+    traj._stages.append(np.full((2, 2, 2), np.nan))
+    again = parallel_transport(entry.spec, traj, Z0)
+    assert np.array_equal(again.Z, res.Z) and again.halt_reason is None
 
 
 def test_transport_norm_drift_converges_at_fourth_order():

@@ -97,6 +97,17 @@ def test_christoffel_oracle_sphere_hand_values():
     )
 
 
+def test_christoffel_oracle_exact_next_to_the_equator():
+    # a sphere point 4e-6 from the equator, where cos(theta) is tiny and a
+    # finite-difference metric derivative loses seven digits of 2G
+    entry = catalog_entry("riemann-2d-curved")
+    x = np.array([1.5707923871878087, 0.2518299994801456])
+    dx = np.array([0.6913474630617118, -0.5032867328003408])
+    exact = np.einsum("mab,a,b->m", entry.analytic_christoffel(x), dx, dx)
+    lc = christoffel_oracle(entry.riemann_g, x, dx)
+    assert np.linalg.norm(lc - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
 def test_christoffel_oracle_rejects_indefinite_matrix():
     g = lambda x: np.array([[1.0, 0.0], [0.0, -1.0]])  # noqa: E731
     with pytest.raises(DomainError, match="positive definite"):
