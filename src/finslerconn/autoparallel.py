@@ -30,6 +30,7 @@ import numpy as np
 from . import dsl
 from .connection import (
     FD_STEP,
+    _l_floor,
     _richardson,
     _solve_G_batch,
     _stencil,
@@ -127,9 +128,6 @@ class Trajectory:
     halt_reason: str | None = None
     projected_steps: int = 0
     rank_tol: float = 1e-9
-    constraint_tol: float = 1e-10
-    project: bool = False
-    initial: tuple[np.ndarray, np.ndarray] | None = None
     events: list[tuple[int, str]] = field(default_factory=list)
     # (x, dx) at the four RK4 stages of each step taken, shape (4, 2, n1)
     # per step; parallel_transport integrates Z over them
@@ -299,8 +297,7 @@ def _resolve(
     elif gauge.kind == "custom":
         if gauge.lambda0_fn is None:
             raise InvalidStateError("custom gauge requires lambda0_fn")
-        l_floor = 1e-12 * max(float(np.linalg.norm(jet.p) * np.linalg.norm(dx)), 1e-30)
-        if abs(jet.L) <= l_floor:
+        if abs(jet.L) <= _l_floor(jet):
             raise DegeneracyError("custom gauge needs a nonvanishing metric value")
         row0[0] = jet.L
         rhs0 = float(gauge.lambda0_fn(x, dx)) - omega + two_lam_p
@@ -491,15 +488,38 @@ def _rk4(rates, y: tuple, tau: float, h: float, k1: tuple) -> tuple:
 _HALTING_ERRORS = (DomainError, ConsistencyError, DegeneracyError)
 
 
-def _run(spec: dsl.MetricSpec, traj: Trajectory, steps: int) -> None:
-    """The stepper behind :func:`integrate`.
+def integrate(
+    spec: dsl.MetricSpec,
+    x0,
+    dx0,
+    gauge: GaugeChoice,
+    steps: int,
+    h: float,
+    rank_tol: float = 1e-9,
+    constraint_tol: float = 1e-10,
+    project: bool = False,
+) -> Trajectory:
+    """Integrate the auto-parallel equation with classical fixed-step RK4.
 
-    Advances ``traj.initial`` by ``steps`` RK4 steps with the settings
-    ``traj`` carries, appending nodes, events, stage states and the halt
-    reason to it.
+    Per stage the jet, degeneracy data and multipliers are recomputed on
+    the structural branch frozen at the step's start node; across nodes the
+    structure is re-analyzed, rank transitions are logged and eigenvector
+    signs re-anchored.  Runtime failures (leaving the admissible domain,
+    multiplier inconsistency, frame degeneration) halt the trajectory and
+    return the completed part with ``halt_reason`` set; precondition
+    violations raise :class:`InvalidStateError` instead.
+
+    ``project=True`` enables the logged least-squares pullback onto the
+    constraint surface when the drift exceeds 10x ``constraint_tol``.
     """
-    gauge, h, rank_tol = traj.gauge, traj.h, traj.rank_tol
-    x, dx = traj.initial
+    if steps < 1:
+        raise InvalidStateError("steps must be at least 1")
+    if not (np.isfinite(h) and h > 0):
+        raise InvalidStateError(f"step size must be a finite positive number, got {h!r}")
+    # copies: node 0 must not alias the caller's arrays
+    x = np.array(x0, dtype=float)
+    dx = np.array(dx0, dtype=float)
+    traj = Trajectory(gauge=gauge, h=h, steps_requested=steps, nodes=[], rank_tol=rank_tol)
     try:
         dsl.require_admissible(spec, x, dx)
         jet = compute_jet(spec, x=x, dx=dx)  # validates homogeneity identities
@@ -509,10 +529,10 @@ def _run(spec: dsl.MetricSpec, traj: Trajectory, steps: int) -> None:
 
     C0 = constraint_residuals(jet, deg)
     c_scale = max(_constraint_scale(jet), 1e-300)
-    if C0.size and float(np.max(np.abs(C0))) > traj.constraint_tol * c_scale:
+    if C0.size and float(np.max(np.abs(C0))) > constraint_tol * c_scale:
         raise InvalidStateError(
             f"initial constraint residuals {C0.tolist()} exceed tolerance "
-            f"{traj.constraint_tol:g} (scale {c_scale:.3e})"
+            f"{constraint_tol:g} (scale {c_scale:.3e})"
         )
     if gauge.kind == "arclength" and abs(jet.L - 1.0) > 1e-10:
         raise InvalidStateError(
@@ -586,9 +606,9 @@ def _run(spec: dsl.MetricSpec, traj: Trajectory, steps: int) -> None:
             structure = new_structure
         deg = deg_new
 
-        if traj.project and deg.D:
+        if project and deg.D:
             C_now = constraint_residuals(jet, deg)
-            if float(np.max(np.abs(C_now))) > 10.0 * traj.constraint_tol * c_scale:
+            if float(np.max(np.abs(C_now))) > 10.0 * constraint_tol * c_scale:
                 x_new, dx_new = _project_onto_constraints(spec, x_new, dx_new, freeze(deg))
                 jet = compute_jet(spec, x=x_new, dx=dx_new, validate=False)
                 deg = analyze(jet, rank_tol=rank_tol)
@@ -598,43 +618,6 @@ def _run(spec: dsl.MetricSpec, traj: Trajectory, steps: int) -> None:
                 traj.events.append((k + 1, "projected"))
 
         x, dx = x_new, dx_new
-
-
-def integrate(
-    spec: dsl.MetricSpec,
-    x0,
-    dx0,
-    gauge: GaugeChoice,
-    steps: int,
-    h: float,
-    rank_tol: float = 1e-9,
-    constraint_tol: float = 1e-10,
-    project: bool = False,
-) -> Trajectory:
-    """Integrate the auto-parallel equation with classical fixed-step RK4.
-
-    Per stage the jet, degeneracy data and multipliers are recomputed on
-    the structural branch frozen at the step's start node; across nodes the
-    structure is re-analyzed, rank transitions are logged and eigenvector
-    signs re-anchored.  Runtime failures (leaving the admissible domain,
-    multiplier inconsistency, frame degeneration) halt the trajectory and
-    return the completed part with ``halt_reason`` set; precondition
-    violations raise :class:`InvalidStateError` instead.
-
-    ``project=True`` enables the logged least-squares pullback onto the
-    constraint surface when the drift exceeds 10x ``constraint_tol``.
-    """
-    if steps < 1:
-        raise InvalidStateError("steps must be at least 1")
-    if h <= 0:
-        raise InvalidStateError("step size must be positive")
-    x = np.asarray(x0, dtype=float)
-    dx = np.asarray(dx0, dtype=float)
-    traj = Trajectory(
-        gauge=gauge, h=h, steps_requested=steps, nodes=[], rank_tol=rank_tol,
-        constraint_tol=constraint_tol, project=project, initial=(x.copy(), dx.copy()),
-    )
-    _run(spec, traj, steps)
     return traj
 
 
@@ -673,7 +656,7 @@ def _transport_rhs(
     frozen = freeze(analyze(jet_z, rank_tol=rank_tol))
     vnorm = float(np.linalg.norm(velocity))
     s = FD_STEP * float(np.linalg.norm(Z)) / max(vnorm, 1e-300)
-    G = _solve_G_batch(spec, x, np.array(_stencil(Z, s, velocity)), frozen, None)
+    G = _solve_G_batch(spec, x, np.array(_stencil(Z, s, velocity)), frozen)
     return -_richardson(G, s)
 
 

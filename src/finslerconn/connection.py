@@ -19,7 +19,6 @@ residuals C_I, never silently enforced.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -27,11 +26,10 @@ from . import dsl
 from .degeneracy import (
     DegeneracyData,
     FrozenStructure,
+    _with_a_set,
     analyze,
     analyze_frozen,
     freeze,
-    index_split,
-    null_vectors,
 )
 from .errors import DegeneracyError
 from .jet import Jet2, TangentPoint, compute_jets
@@ -55,8 +53,6 @@ LAMBDA_BLOWUP_RATIO = 1e4
 # Richardson step relative to the differentiated argument: |dx| for N and
 # the direction derivatives of N, 1 + |x_b| for the x-derivatives of N
 FD_STEP = 1e-4
-
-GaugeFunction = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -231,28 +227,6 @@ def solve_G(
     )
 
 
-def _with_a_set(jet: Jet2, deg: DegeneracyData, a_indices: tuple[int, ...]) -> DegeneracyData:
-    block = jet.L2[np.ix_(a_indices, a_indices)]
-    sv = np.linalg.svd(block, compute_uv=False) if len(a_indices) else np.zeros(0)
-    smax = float(deg.sing_values[0]) if deg.sing_values.size else 0.0
-    if len(a_indices) and sv[-1] <= 1e-14 * max(smax, 1e-300):
-        raise DegeneracyError("candidate regular block is singular", a_indices=a_indices)
-    zero_index, I_indices = index_split(jet, a_indices)
-    nulls = {}
-    if I_indices != deg.I_indices:
-        # eigenvectors are tied to the I split; recompute them
-        _, _, Vt = np.linalg.svd(jet.L2)
-        nulls = null_vectors(jet, Vt, deg.rank, I_indices)
-    return replace(
-        deg,
-        **nulls,
-        a_indices=tuple(a_indices),
-        I_indices=I_indices,
-        zero_index=zero_index,
-        Lab_inv=np.linalg.inv(block) if len(a_indices) else np.zeros((0, 0)),
-    )
-
-
 def _stencil(base: np.ndarray, h: float, direction: np.ndarray) -> list[np.ndarray]:
     """The points base + c * h * direction, c in (1, -1, 1/2, -1/2), at
     which :func:`_richardson` takes its values."""
@@ -266,28 +240,18 @@ def _richardson(values, h: float):
     return (4.0 * ((fp2 - fm2) / h) - (fp - fm) / (2.0 * h)) / 3.0
 
 
-def _gap_ratio(deg: DegeneracyData) -> float:
-    sv = deg.sing_values
-    if 0 < deg.rank < sv.size and sv[deg.rank] > 0:
-        return float(sv[deg.rank - 1] / sv[deg.rank])
-    return np.inf
-
-
 def _solve_G_batch(
     spec: dsl.MetricSpec,
     x: np.ndarray,
     dxs: np.ndarray,
     frozen: FrozenStructure,
-    gauge: GaugeFunction | None,
 ) -> np.ndarray:
     """Spray at many directions from one base x, on a frozen smooth branch."""
     xs = np.broadcast_to(x, (dxs.shape[0], x.shape[0]))
     jets = compute_jets(spec, xs, dxs, validate=False)
     out = np.empty((dxs.shape[0], x.shape[0]))
     for i, jet in enumerate(jets):
-        deg = analyze_frozen(jet, frozen)
-        lamI = gauge(jet.x, jet.dx) if gauge is not None else None
-        out[i] = solve_G(jet, deg, gauge_lambdaI=lamI).G
+        out[i] = solve_G(jet, analyze_frozen(jet, frozen)).G
     return out
 
 
@@ -295,7 +259,6 @@ def coefficients_N(
     spec: dsl.MetricSpec,
     pt: TangentPoint,
     rank_tol: float = 1e-9,
-    gauge: GaugeFunction | None = None,
 ) -> ConnectionData:
     """Connection coefficients N = dG/d(dx) by Richardson-extrapolated
     central differences.
@@ -308,17 +271,17 @@ def coefficients_N(
     """
     jet = compute_jets(spec, pt.x[None, :], pt.dx[None, :], validate=False)[0]
     deg = analyze(jet, rank_tol=rank_tol)
-    base = solve_G(jet, deg, gauge_lambdaI=gauge(pt.x, pt.dx) if gauge else None)
+    base = solve_G(jet, deg)
 
     n1 = spec.dimension
     h = FD_STEP * float(np.linalg.norm(pt.dx))
     stencil = [p for e in np.eye(n1) for p in _stencil(pt.dx, h, e)]
     try:
-        G_vals = _solve_G_batch(spec, pt.x, np.array(stencil), freeze(deg), gauge)
+        G_vals = _solve_G_batch(spec, pt.x, np.array(stencil), freeze(deg))
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"finite differencing of G failed near a rank transition: {exc}",
-            gap_ratio=_gap_ratio(deg), sing_values=deg.sing_values.tolist(),
+            gap_ratio=deg.gap_ratio, sing_values=deg.sing_values.tolist(),
         ) from exc
 
     N = np.empty((n1, n1))
@@ -334,7 +297,7 @@ def coefficients_N(
         raise DegeneracyError(
             f"finite differencing of G failed near a rank transition: "
             f"N.dx = 2G defect {defect:.3e} at scale {scale:.3e}",
-            gap_ratio=_gap_ratio(deg), sing_values=deg.sing_values.tolist(),
+            gap_ratio=deg.gap_ratio, sing_values=deg.sing_values.tolist(),
         )
     return replace(base, N=N, fd_steps={"dx_step": h, "richardson": True})
 
@@ -343,7 +306,6 @@ def curvature_torsion(
     spec: dsl.MetricSpec,
     pt: TangentPoint,
     rank_tol: float = 1e-9,
-    gauge: GaugeFunction | None = None,
 ) -> CurvatureData:
     """Formal curvature and Berwald-type direction derivatives of N.
 
@@ -355,9 +317,7 @@ def curvature_torsion(
     x, dx = pt.x, pt.dx
 
     def N_at(x_val: np.ndarray, dx_val: np.ndarray) -> np.ndarray:
-        return coefficients_N(
-            spec, TangentPoint(x_val, dx_val), rank_tol=rank_tol, gauge=gauge
-        ).N
+        return coefficients_N(spec, TangentPoint(x_val, dx_val), rank_tol=rank_tol).N
 
     N0 = N_at(x, dx)
 

@@ -6,6 +6,13 @@ computes the numerical rank, the extra null directions beyond ``dx``, an
 index split into {flow-like index} | {degenerate indices I} | {regular
 indices a}, and the inverse of the regular block: everything the
 connection solver needs to invert its defining equations.
+
+One routine, ``_assemble``, builds every :class:`DegeneracyData` from the
+SVD of ``L2``, a rank and a regular block.  Its callers differ only in how
+they pick those: :func:`analyze` takes the rank from the singular values
+and the best invertible block by |det|; :func:`analyze_frozen` reuses the
+rank, split and signs pinned at a base point; ``_with_a_set`` swaps in
+another block for the regular-block retry of ``connection.solve_G``.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsl
-from .errors import DegeneracyError
+from .errors import DegeneracyError, InvalidStateError
 from .jet import Jet2, TangentPoint, compute_jets
 
 __all__ = [
@@ -52,12 +59,16 @@ class DegeneracyData:
     zero_index: int
     Lab_inv: np.ndarray
     sing_values: np.ndarray
-    rank_ambiguous: bool
-    gap_ratio: float
+    gap_ratio: float  # sigma_rank / sigma_(rank+1); inf without a next value
     p_residuals: np.ndarray  # |p.v_I| / |p| after correction
     correction_skipped: tuple[bool, ...]
     dx_null_defect: float  # |L2.dx| / (sigma_max * |dx|)
     a_candidates: tuple[tuple[int, ...], ...]  # fallbacks ranked by |det|
+
+    @property
+    def rank_ambiguous(self) -> bool:
+        """A singular-value gap below 10 around the rank threshold."""
+        return self.gap_ratio < 10.0
 
 
 @dataclass(frozen=True)
@@ -175,82 +186,98 @@ def index_split(jet: Jet2, a_indices: tuple[int, ...]) -> tuple[int, tuple[int, 
     return zero_index, tuple(i for i in complement if i != zero_index)
 
 
+def _rank(sv: np.ndarray, rank_tol: float) -> int:
+    """Count of singular values above ``rank_tol`` relative to the largest."""
+    if not 0.0 <= rank_tol < 1.0:
+        raise InvalidStateError(f"rank_tol must lie in [0, 1), got {rank_tol!r}")
+    smax = float(sv[0]) if sv.size else 0.0
+    return int(np.count_nonzero(sv > rank_tol * smax)) if smax > 0 else 0
+
+
+def _assemble(
+    jet: Jet2,
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rank: int,
+    a_indices: tuple[int, ...],
+    split: tuple[int, tuple[int, ...]] | None = None,
+    anchors: np.ndarray | None = None,
+    a_candidates: tuple[tuple[int, ...], ...] | None = None,
+) -> DegeneracyData:
+    """:class:`DegeneracyData` of ``jet`` at the given rank and regular block.
+
+    ``svd`` is ``np.linalg.svd(jet.L2)``.  ``split`` pins (zero_index,
+    I_indices), otherwise :func:`index_split` picks them; ``anchors`` fix
+    the null-vector signs.  Raises when the block is numerically singular.
+    """
+    _, sv, Vt = svd
+    a_indices = tuple(a_indices)
+    zero_index, I_indices = split if split is not None else index_split(jet, a_indices)
+    nulls = null_vectors(jet, Vt, rank, I_indices, anchors)
+    gap = float(sv[rank - 1] / sv[rank]) if 0 < rank < sv.size and sv[rank] > 0 else np.inf
+    smax = float(sv[0])
+    if rank > 0:
+        block = jet.L2[np.ix_(a_indices, a_indices)]
+        if np.linalg.svd(block, compute_uv=False)[-1] <= 1e-14 * max(smax, 1e-300):
+            raise DegeneracyError(
+                f"coordinate block {a_indices} became singular (rank "
+                "transition nearby)", a_indices=a_indices, gap=gap,
+            )
+        Lab_inv = np.linalg.inv(block)
+    else:
+        Lab_inv = np.zeros((0, 0))
+    dx_norm = float(np.linalg.norm(jet.dx))
+    return DegeneracyData(
+        rank=rank,
+        D=jet.dimension - 1 - rank,
+        **nulls,
+        a_indices=a_indices,
+        I_indices=I_indices,
+        zero_index=zero_index,
+        Lab_inv=Lab_inv,
+        sing_values=sv,
+        gap_ratio=gap,
+        dx_null_defect=float(np.linalg.norm(jet.L2 @ jet.dx)) / (smax * dx_norm)
+        if smax > 0 else 0.0,
+        a_candidates=(a_indices,) if a_candidates is None else a_candidates,
+    )
+
+
 def analyze(jet: Jet2, rank_tol: float = 1e-9) -> DegeneracyData:
     """Determine rank, zero eigenvectors, index split and block inverse.
 
-    Rank counts singular values above ``rank_tol`` relative to the largest.
-    The regular block is chosen by exhaustive |det| maximization over
-    principal submatrices (dimensions here are tiny), ties broken by lowest
-    indices, so the choice is deterministic and scale-covariant.  A
-    singular-value gap ratio below 10 around the threshold flags the rank
-    as ambiguous without failing.
+    Rank counts singular values above ``rank_tol`` (in [0, 1)) relative to
+    the largest.  The regular block is chosen by exhaustive |det|
+    maximization over principal submatrices (dimensions here are tiny),
+    ties broken by lowest indices, so the choice is deterministic and
+    scale-covariant.  A singular-value gap ratio below 10 around the
+    threshold flags the rank as ambiguous without failing.
     """
     L2 = jet.L2
-    n1 = L2.shape[0]
-    n = n1 - 1
-    _, sv, Vt = np.linalg.svd(L2)
-    smax = float(sv[0]) if sv.size else 0.0
-
-    if smax == 0.0:
-        rank = 0
-        ambiguous = False
-        gap = np.inf
-    else:
-        above = sv > rank_tol * smax
-        rank = int(np.count_nonzero(above))
-        if 0 < rank < n1:
-            gap = float(sv[rank - 1] / sv[rank]) if sv[rank] > 0 else np.inf
-        else:
-            gap = np.inf
-        ambiguous = gap < 10.0
+    n = L2.shape[0] - 1
+    svd = np.linalg.svd(L2)
+    sv = svd[1]
+    rank = _rank(sv, rank_tol)
     if rank > n:
         # dx must be in the null space of a 1-homogeneous metric
         raise DegeneracyError(
             f"direction Hessian has full rank {rank}; dx is not a null vector "
             "(homogeneity defect upstream)", rank=rank,
         )
-    D = n - rank
-
-    dx_norm = float(np.linalg.norm(jet.dx))
-    dx_defect = (
-        float(np.linalg.norm(L2 @ jet.dx)) / (smax * dx_norm) if smax > 0 else 0.0
-    )
 
     ranked = _best_a_sets(L2, rank)
-    best_det, a_indices = ranked[0]
-    if rank > 0:
+    for _, a_indices in ranked:
+        if rank == 0:
+            break
         block = L2[np.ix_(a_indices, a_indices)]
-        bs = np.linalg.svd(block, compute_uv=False)
-        if bs[-1] <= 1e-12 * smax:
-            for det, combo in ranked[1:]:
-                block = L2[np.ix_(combo, combo)]
-                bs = np.linalg.svd(block, compute_uv=False)
-                if bs[-1] > 1e-12 * smax:
-                    a_indices = combo
-                    break
-            else:
-                raise DegeneracyError(
-                    "no invertible coordinate block of the reduced size exists",
-                    rank=rank, best_det=best_det,
-                )
-        Lab_inv = np.linalg.inv(L2[np.ix_(a_indices, a_indices)])
+        if np.linalg.svd(block, compute_uv=False)[-1] > 1e-12 * float(sv[0]):
+            break
     else:
-        Lab_inv = np.zeros((0, 0))
-
-    zero_index, I_indices = index_split(jet, a_indices)
-    return DegeneracyData(
-        rank=rank,
-        D=D,
-        **null_vectors(jet, Vt, rank, I_indices),
-        a_indices=tuple(a_indices),
-        I_indices=I_indices,
-        zero_index=zero_index,
-        Lab_inv=Lab_inv,
-        sing_values=sv,
-        rank_ambiguous=ambiguous,
-        gap_ratio=float(gap),
-        dx_null_defect=dx_defect,
-        a_candidates=tuple(combo for _, combo in ranked[:8]),
+        raise DegeneracyError(
+            "no invertible coordinate block of the reduced size exists",
+            rank=rank, best_det=ranked[0][0],
+        )
+    return _assemble(
+        jet, svd, rank, a_indices, a_candidates=tuple(combo for _, combo in ranked[:8])
     )
 
 
@@ -270,39 +297,15 @@ def freeze(deg: DegeneracyData) -> FrozenStructure:
 def analyze_frozen(jet: Jet2, frozen: FrozenStructure) -> DegeneracyData:
     """Re-analyze at a nearby point keeping the base point's index split,
     rank and eigenvector signs, so the result varies smoothly."""
-    L2 = jet.L2
-    _, sv, Vt = np.linalg.svd(L2)
-    nulls = null_vectors(jet, Vt, frozen.rank, frozen.I_indices, frozen.v_anchor)
-    if frozen.rank > 0:
-        block = L2[np.ix_(frozen.a_indices, frozen.a_indices)]
-        bs = np.linalg.svd(block, compute_uv=False)
-        if bs[-1] <= 1e-14 * max(float(sv[0]), 1e-300):
-            raise DegeneracyError(
-                "frozen coordinate block became singular (rank transition "
-                "inside a stencil)", a_indices=frozen.a_indices,
-                gap=float(sv[frozen.rank - 1] / max(sv[frozen.rank], 1e-300))
-                if frozen.rank < sv.size else np.inf,
-            )
-        Lab_inv = np.linalg.inv(block)
-    else:
-        Lab_inv = np.zeros((0, 0))
-    smax = float(sv[0]) if sv.size else 0.0
-    dx_norm = float(np.linalg.norm(jet.dx))
-    return DegeneracyData(
-        rank=frozen.rank,
-        D=frozen.D,
-        **nulls,
-        a_indices=frozen.a_indices,
-        I_indices=frozen.I_indices,
-        zero_index=frozen.zero_index,
-        Lab_inv=Lab_inv,
-        sing_values=sv,
-        rank_ambiguous=False,
-        gap_ratio=np.inf,
-        dx_null_defect=float(np.linalg.norm(L2 @ jet.dx)) / (smax * dx_norm)
-        if smax > 0 else 0.0,
-        a_candidates=(frozen.a_indices,),
+    return _assemble(
+        jet, np.linalg.svd(jet.L2), frozen.rank, frozen.a_indices,
+        split=(frozen.zero_index, frozen.I_indices), anchors=frozen.v_anchor,
     )
+
+
+def _with_a_set(jet: Jet2, deg: DegeneracyData, a_indices: tuple[int, ...]) -> DegeneracyData:
+    """``deg`` rebuilt on another regular block of the same rank."""
+    return _assemble(jet, np.linalg.svd(jet.L2), deg.rank, a_indices)
 
 
 @dataclass
@@ -336,9 +339,7 @@ def detect_rank_drop(
     ranks, svs = [], []
     for jet in jets:
         sv = np.linalg.svd(jet.L2, compute_uv=False)
-        smax = float(sv[0]) if sv.size else 0.0
-        rank = int(np.count_nonzero(sv > rank_tol * smax)) if smax > 0 else 0
-        ranks.append(rank)
+        ranks.append(_rank(sv, rank_tol))
         svs.append(sv)
     transitions = [
         (k, ranks[k - 1], ranks[k])

@@ -220,6 +220,24 @@ def test_inadmissible_initial_state_raises():
         )
 
 
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 0.0, -1e-2])
+def test_step_size_must_be_finite_and_positive(h):
+    entry = catalog_entry("riemann-2d-curved")
+    with pytest.raises(InvalidStateError, match="step size"):
+        integrate(entry.spec, [1.2, 0.3], [0.6, 0.5], GaugeChoice.time(), steps=3, h=h)
+
+
+def test_integrate_copies_its_inputs():
+    entry = catalog_entry("riemann-2d-curved")
+    x0 = np.array([1.2, 0.3])
+    dx0 = np.array([0.6, 0.5])
+    traj = integrate(entry.spec, x0, dx0, GaugeChoice.time(), steps=2, h=1e-2)
+    x0[:] = 7.0
+    dx0[:] = 7.0
+    np.testing.assert_array_equal(traj.nodes[0].x, [1.2, 0.3])
+    np.testing.assert_array_equal(traj.nodes[0].dx, [0.6, 0.5])
+
+
 def test_initial_constraint_violation_raises():
     entry = catalog_entry("second-class")
     with pytest.raises(InvalidStateError, match="constraint"):

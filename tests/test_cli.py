@@ -61,6 +61,17 @@ def test_inspect_bad_point_exit_2(capsys):
     assert payload["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("rank_tol", ["nan", "1", "-1e-9"])
+def test_inspect_rank_tol_outside_unit_interval_exit_2(capsys, rank_tol):
+    code, out, err = run_cli(
+        capsys, "inspect", "--metric", "riemann-2d-curved",
+        "--x", "1.2,0.3", "--dx", "0.6,0.5", f"--rank-tol={rank_tol}",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "InvalidStateError"
+
+
 def test_inspect_curvature_flag(capsys):
     code, out, _ = run_cli(
         capsys, "inspect", "--metric", "euclidean-2",
@@ -142,6 +153,17 @@ def test_geodesic_inadmissible_initial_exit_2(capsys):
         "--x", "0,0,0,0", "--dx=-1,0.1,0,0",
     )
     assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "InvalidStateError"
+
+
+@pytest.mark.parametrize("h", ["nan", "inf"])
+def test_geodesic_non_finite_step_exit_2(capsys, h):
+    code, out, err = run_cli(
+        capsys, "geodesic", "--metric", "riemann-2d-curved",
+        "--x", "1.2,0.3", "--dx", "0.6,0.5", "--steps", "3", "--h", h,
+    )
+    assert code == 2
+    assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "InvalidStateError"
 
 

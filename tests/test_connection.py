@@ -11,13 +11,12 @@ from finslerconn.catalog import (
     riemann_tensor,
 )
 from finslerconn.connection import (
-    _with_a_set,
     build_ell_basis,
     coefficients_N,
     curvature_torsion,
     solve_G,
 )
-from finslerconn.degeneracy import analyze
+from finslerconn.degeneracy import _with_a_set, analyze
 from finslerconn.errors import DegeneracyError
 from finslerconn.jet import TangentPoint, compute_jet, compute_jets
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import sample_points
 from finslerconn.catalog import catalog, catalog_entry
 from finslerconn.degeneracy import analyze, analyze_frozen, detect_rank_drop, freeze
-from finslerconn.errors import DegeneracyError
+from finslerconn.errors import DegeneracyError, InvalidStateError
 from finslerconn.jet import Jet2, TangentPoint, compute_jet, compute_jets
 
 
@@ -59,26 +59,55 @@ def _frenkel_printed_L2(dx):
     ])
 
 
+def _frenkel_approach_points():
+    """(x3, dx3) = (eps, eps) -> 0 toward the Frenkel constraint surface."""
+    return [
+        TangentPoint(np.array([0.2, -0.4, 0.3, eps]), np.array([1.0, 0.3, 0.8, eps]))
+        for eps in (10.0**-k for k in range(1, 9))
+    ]
+
+
 def test_rank_drop_along_frenkel_approach():
     """Walking (x3, dx3) -> 0 the rank transitions 2 -> 1; the crossover index
     is frozen from an oracle that applies the same threshold rule to the
     printed matrix."""
     entry = catalog_entry("frenkel")
     rank_tol = 1e-6
-    points = []
+    points = _frenkel_approach_points()
     expected = []
-    for k in range(1, 9):
-        eps = 10.0**-k
-        x = np.array([0.2, -0.4, 0.3, eps])
-        dx = np.array([1.0, 0.3, 0.8, eps])
-        points.append(TangentPoint(x, dx))
-        sv = np.linalg.svd(_frenkel_printed_L2(dx), compute_uv=False)
+    for pt in points:
+        sv = np.linalg.svd(_frenkel_printed_L2(pt.dx), compute_uv=False)
         expected.append(int(np.count_nonzero(sv > rank_tol * sv[0])))
     report = detect_rank_drop(entry.spec, points, rank_tol=rank_tol)
     assert report.ranks == expected
     assert 2 in report.ranks and 1 in report.ranks
     crossover = next(k for k in range(1, len(expected)) if expected[k] != expected[k - 1])
     assert report.transitions == [(crossover, 2, 1)]
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_detect_rank_drop_agrees_with_analyze(entry):
+    xs, dxs = sample_points(entry, 10, seed=29)
+    cases = [([TangentPoint(x, dx) for x, dx in zip(xs, dxs)], 1e-9)]
+    if entry.name == "frenkel":
+        cases.append((_frenkel_approach_points(), 1e-6))
+    for points, rank_tol in cases:
+        report = detect_rank_drop(entry.spec, points, rank_tol=rank_tol)
+        ranks = [
+            analyze(compute_jet(entry.spec, pt=pt, validate=False), rank_tol=rank_tol).rank
+            for pt in points
+        ]
+        assert report.ranks == ranks
+
+
+@pytest.mark.parametrize("rank_tol", [np.nan, 1.0, 2.0, -1e-9, np.inf])
+def test_rank_tol_outside_unit_interval_rejected(rank_tol):
+    entry = catalog_entry("riemann-2d-curved")
+    pt = TangentPoint(np.array([1.2, 0.3]), np.array([0.6, 0.5]))
+    with pytest.raises(InvalidStateError, match="rank_tol"):
+        analyze(compute_jet(entry.spec, pt=pt), rank_tol=rank_tol)
+    with pytest.raises(InvalidStateError, match="rank_tol"):
+        detect_rank_drop(entry.spec, [pt], rank_tol=rank_tol)
 
 
 def test_rank_constant_on_regular_metrics():
@@ -144,6 +173,21 @@ def test_analyze_frozen_keeps_structure_and_signs():
     assert deg2.rank == frozen.rank
     assert deg2.a_indices == frozen.a_indices
     assert float(deg2.v_raw[0] @ frozen.v_anchor[0]) > 0.9
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_frozen_at_the_base_point_reproduces_analyze(entry):
+    # analyze, analyze_frozen and the block retry share one assembly: frozen
+    # at its own point, the structure rebuilds the same data bit for bit
+    xs, dxs = sample_points(entry, 10, seed=31)
+    for jet in compute_jets(entry.spec, xs, dxs, validate=False):
+        deg = analyze(jet)
+        again = analyze_frozen(jet, freeze(deg))
+        for name in ("v", "v_raw", "Lab_inv", "sing_values", "p_residuals"):
+            assert np.array_equal(getattr(again, name), getattr(deg, name)), name
+        for name in ("a_indices", "I_indices", "zero_index", "correction_skipped",
+                     "dx_null_defect"):
+            assert getattr(again, name) == getattr(deg, name), name
 
 
 def test_best_block_is_det_maximal():

@@ -1,0 +1,109 @@
+"""Fingerprint the package's outputs, for byte-identity checks of refactors.
+
+    python3 tools/digest_outputs.py > digest.txt
+
+Run from the root of a checkout; the package is imported from its ``src/``
+through ``benchmark/run.py``'s loader, and the inputs come from
+``benchmark/workloads.py`` (both used read-only).  Prints one line
+``name sha256[:16]`` per output:
+
+- every operation of rounds 0-3 of each benchmark workload at seeds 1-3:
+  the emitted document, plus the transport's ``Z``, ``L_values`` and
+  ``halt_reason`` for geodesics;
+- the ``verify`` report;
+- 24 transports of a random ``Z0``, 6 each on four regular metrics.
+
+Run it on two checkouts and ``diff`` the outputs: no line may differ.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path.cwd()
+sys.path.insert(0, str(ROOT / "benchmark"))
+
+import numpy as np  # noqa: E402
+
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+SEEDS = (1, 2, 3)
+ROUNDS = range(4)
+TRANSPORT_METRICS = ("potential-system", "quartic-root", "riemann-3d-generic", "riemann-2d-curved")
+TRANSPORTS_EACH = 6
+TRANSPORT_STEPS = 30
+
+
+def digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(np.ascontiguousarray(part, dtype=float).tobytes())
+        else:
+            h.update(repr(part).encode())
+        h.update(b"\0")
+    return h.hexdigest()[:16]
+
+
+def failure(exc: Exception) -> tuple:
+    return ("raised", type(exc).__name__, str(exc))
+
+
+def transport_parts(transport) -> tuple:
+    if transport is None:
+        return (None,)
+    return (transport.Z, transport.L_values, transport.halt_reason)
+
+
+def workload_lines(pkg):
+    for name, cls in workloads.WORKLOADS.items():
+        for seed in SEEDS:
+            wl = cls(pkg, seed)
+            for k in ROUNDS:
+                for i, case in enumerate(wl.cases(k)):
+                    try:
+                        result = wl.execute(case)
+                        parts = (result.text, *transport_parts(result.transport))
+                    except Exception as exc:  # a failing operation is an output too
+                        parts = failure(exc)
+                    yield f"{name}/seed{seed}/round{k}/case{i}", digest(*parts)
+
+
+def random_transport_lines(pkg):
+    ap = pkg.autoparallel
+    entries = {e.name: e for e in pkg.catalog.catalog()}
+    for m, metric in enumerate(TRANSPORT_METRICS):
+        entry = entries[metric]
+        for k in range(TRANSPORTS_EACH):
+            rng = np.random.default_rng([101, m, k])
+            xs, dxs = entry.sampler.sample(rng, 2, entry.spec)
+            x, dx, Z0 = xs[0], dxs[0], dxs[1]
+            if metric == "potential-system":
+                gauge, h = ap.GaugeChoice.time(), workloads.H / float(dx[0])
+            else:
+                L = float(pkg.dsl.eval_values(entry.spec.expr, entry.spec.params,
+                                              x[None, :], dx[None, :])[0])
+                gauge, h, dx = ap.GaugeChoice.arclength(), workloads.H, dx / L
+            try:
+                traj = ap.integrate(entry.spec, x, dx, gauge, steps=TRANSPORT_STEPS, h=h)
+                parts = transport_parts(ap.parallel_transport(entry.spec, traj, Z0))
+            except Exception as exc:  # a failing transport is an output too
+                parts = failure(exc)
+            yield f"transport/{metric}/{k}", digest(*parts)
+
+
+def main() -> int:
+    pkg = run.load_package()
+    lines = list(workload_lines(pkg))
+    lines.append(("verify", digest(pkg.cli.render_report(pkg.cli.run_verification()))))
+    lines.extend(random_transport_lines(pkg))
+    for name, value in lines:
+        print(name, value)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
