@@ -39,12 +39,10 @@ from .jet import (
 )
 from .degeneracy import (
     DegeneracyData,
-    FrozenStructure,
     RankDropReport,
     analyze,
     analyze_frozen,
     detect_rank_drop,
-    freeze,
 )
 from .connection import (
     ConnectionData,

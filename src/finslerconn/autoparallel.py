@@ -37,7 +37,7 @@ from .connection import (
     constraint_residuals,
     moment_map,
 )
-from .degeneracy import DegeneracyData, FrozenStructure, analyze, analyze_frozen, freeze
+from .degeneracy import DegeneracyData, _rank, analyze, analyze_frozen
 from .errors import (
     ConsistencyError,
     DegeneracyError,
@@ -219,11 +219,11 @@ def _c_gradients(
     spec: dsl.MetricSpec,
     x: np.ndarray,
     dx: np.ndarray,
-    frozen: FrozenStructure,
+    base: DegeneracyData,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(C, dC/dx, dC/d(dx)) by central differences on the frozen branch."""
+    """(C, dC/dx, dC/d(dx)) by central differences on ``base``'s branch."""
     n1 = x.shape[0]
-    D = frozen.D
+    D = base.D
     if D == 0:
         return np.zeros(0), np.zeros((0, n1)), np.zeros((0, n1))
     hx = C_FD_SCALE * (1.0 + np.abs(x))
@@ -242,7 +242,7 @@ def _c_gradients(
         states_dx += [dx + hd * e, dx - hd * e]
     jets = compute_jets(spec, np.array(states_x), np.array(states_dx), validate=False)
     Cs = np.array(
-        [constraint_residuals(j, analyze_frozen(j, frozen)) for j in jets]
+        [constraint_residuals(j, analyze_frozen(j, base)) for j in jets]
     )
     C0 = Cs[0]
     gx = np.empty((D, n1))
@@ -260,7 +260,7 @@ def _resolve(
     deg: DegeneracyData,
     gauge: GaugeChoice,
     tau: float,
-    frozen: FrozenStructure,
+    base: DegeneracyData,
 ) -> MultiplierResolution:
     n1 = jet.dimension
     x, dx = jet.x, jet.dx
@@ -306,7 +306,7 @@ def _resolve(
         raise ValueError(f"unknown gauge kind {gauge.kind!r}")
 
     if D:
-        _, gx, gdx = _c_gradients(spec, x, dx, frozen)
+        _, gx, gdx = _c_gradients(spec, x, dx, base)
         rows = np.zeros((D, unknowns))
         rhs = np.zeros(D)
         row_scales = np.zeros(D)
@@ -404,7 +404,7 @@ def resolve_multipliers(
     jet = compute_jet(spec, pt=state, validate=False)
     if deg is None:
         deg = analyze(jet, rank_tol=rank_tol)
-    return _resolve(spec, jet, deg, gauge, tau, freeze(deg))
+    return _resolve(spec, jet, deg, gauge, tau, deg)
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +457,12 @@ def _project_onto_constraints(
     spec: dsl.MetricSpec,
     x: np.ndarray,
     dx: np.ndarray,
-    frozen: FrozenStructure,
+    base: DegeneracyData,
     iterations: int = 3,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares pullback of (x, dx) onto C = 0 (Gauss-Newton)."""
     for _ in range(iterations):
-        C, gx, gdx = _c_gradients(spec, x, dx, frozen)
+        C, gx, gdx = _c_gradients(spec, x, dx, base)
         if not C.size or np.max(np.abs(C)) == 0.0:
             break
         J = np.hstack([gx, gdx])
@@ -502,12 +502,13 @@ def integrate(
     """Integrate the auto-parallel equation with classical fixed-step RK4.
 
     Per stage the jet, degeneracy data and multipliers are recomputed on
-    the structural branch frozen at the step's start node; across nodes the
-    structure is re-analyzed, rank transitions are logged and eigenvector
-    signs re-anchored.  Runtime failures (leaving the admissible domain,
-    multiplier inconsistency, frame degeneration) halt the trajectory and
-    return the completed part with ``halt_reason`` set; precondition
-    violations raise :class:`InvalidStateError` instead.
+    the structural branch of the step's start node.  A new node keeps that
+    branch while its rank holds and is re-analyzed when it changes; structure
+    changes are logged and eigenvector signs re-anchored.  Runtime failures
+    (leaving the admissible domain, multiplier inconsistency, frame
+    degeneration) halt the trajectory and return the completed part with
+    ``halt_reason`` set; precondition violations, a failure at the initial
+    node included, raise :class:`InvalidStateError` instead.
 
     ``project=True`` enables the logged least-squares pullback onto the
     constraint surface when the drift exceeds 10x ``constraint_tol``.
@@ -546,25 +547,26 @@ def integrate(
     pending_events: list[str] = []
 
     for k in range(steps + 1):
-        frozen = freeze(deg)
         stage_states: list[tuple[np.ndarray, np.ndarray]] = []
 
         def rates(y, tau_s, res=None):
-            # stages stay on the frozen branch
+            # stages stay on the branch of the step's start node
             stage_states.append(y)
             if res is None:
                 jet_s = compute_jet(spec, x=y[0], dx=y[1], validate=False)
-                res = _resolve(spec, jet_s, analyze_frozen(jet_s, frozen), gauge, tau_s, frozen)
+                res = _resolve(spec, jet_s, analyze_frozen(jet_s, deg), gauge, tau_s, deg)
             return y[1], res.accel
 
         try:
-            res1 = _resolve(spec, jet, deg, gauge, tau, frozen)
+            res1 = _resolve(spec, jet, deg, gauge, tau, deg)
             traj.nodes.append(_node_from(res1, tau, tuple(pending_events)))
             pending_events = []
             if k == steps:
                 break
             x_new, dx_new = _rk4(rates, (x, dx), tau, h, rates((x, dx), tau, res1))
         except _HALTING_ERRORS as exc:
+            if not traj.nodes:
+                raise InvalidStateError(f"initial state cannot be resolved: {exc}") from exc
             traj.halt_reason = f"{type(exc).__name__}: {exc}"
             break
         traj._stages.append(np.array(stage_states))
@@ -580,20 +582,32 @@ def integrate(
             traj.halt_reason = f"inadmissible: {exc}"
             break
 
-        deg_fresh = analyze(jet, rank_tol=rank_tol)
-        if deg_fresh.rank == deg.rank:
-            # same rank: keep the previous index split and eigenvector signs
-            # so labels (and any free-multiplier policy keyed on them) stay
-            # stable; fall back to the fresh split if the old block degraded
+        # same rank: keep the previous index split and eigenvector signs so
+        # labels (and any free-multiplier policy keyed on them) stay stable;
+        # analyze afresh on a rank change or if the old block degraded
+        deg_new = None
+        if _rank(np.linalg.svd(jet.L2)[1], rank_tol) == deg.rank:
             try:
-                deg_new = analyze_frozen(jet, frozen)
+                deg_new = analyze_frozen(jet, deg)
             except DegeneracyError:
-                deg_new = deg_fresh
-        else:
-            deg_new = deg_fresh
+                pass
+        if deg_new is None:
+            deg_new = analyze(jet, rank_tol=rank_tol)
         deg_new, flips = _reanchor(deg_new, deg.v_raw)
         pending_events.extend(flips)
-        new_structure = (deg_new.rank, deg_new.a_indices, deg_new.I_indices)
+        deg = deg_new
+
+        projected = False
+        if project and deg.D:
+            C_now = constraint_residuals(jet, deg)
+            if float(np.max(np.abs(C_now))) > 10.0 * constraint_tol * c_scale:
+                x_new, dx_new = _project_onto_constraints(spec, x_new, dx_new, deg)
+                jet = compute_jet(spec, x=x_new, dx=dx_new, validate=False)
+                deg, _ = _reanchor(analyze(jet, rank_tol=rank_tol), deg_new.v_raw)
+                traj.projected_steps += 1
+                projected = True
+
+        new_structure = (deg.rank, deg.a_indices, deg.I_indices)
         if new_structure != structure:
             event = (
                 f"rank-transition {structure[0]} -> {new_structure[0]}"
@@ -604,18 +618,9 @@ def integrate(
             traj.events.append((k + 1, event))
             logger.info("step %d: %s", k + 1, event)
             structure = new_structure
-        deg = deg_new
-
-        if project and deg.D:
-            C_now = constraint_residuals(jet, deg)
-            if float(np.max(np.abs(C_now))) > 10.0 * constraint_tol * c_scale:
-                x_new, dx_new = _project_onto_constraints(spec, x_new, dx_new, freeze(deg))
-                jet = compute_jet(spec, x=x_new, dx=dx_new, validate=False)
-                deg = analyze(jet, rank_tol=rank_tol)
-                deg, _ = _reanchor(deg, deg_new.v_raw)
-                traj.projected_steps += 1
-                pending_events.append("projected")
-                traj.events.append((k + 1, "projected"))
+        if projected:
+            pending_events.append("projected")
+            traj.events.append((k + 1, "projected"))
 
         x, dx = x_new, dx_new
     return traj
@@ -653,10 +658,10 @@ def _transport_rhs(
 ) -> np.ndarray:
     """-dG/d(dx)(x, Z) contracted with the curve velocity, by directional FD."""
     jet_z = compute_jet(spec, x=x, dx=Z, validate=False)
-    frozen = freeze(analyze(jet_z, rank_tol=rank_tol))
+    base = analyze(jet_z, rank_tol=rank_tol)
     vnorm = float(np.linalg.norm(velocity))
     s = FD_STEP * float(np.linalg.norm(Z)) / max(vnorm, 1e-300)
-    G = _solve_G_batch(spec, x, np.array(_stencil(Z, s, velocity)), frozen)
+    G = _solve_G_batch(spec, x, np.array(_stencil(Z, s, velocity)), base)
     return -_richardson(G, s)
 
 

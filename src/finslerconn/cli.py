@@ -270,8 +270,14 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         values = json.loads(Path(known.config).read_text(encoding="utf-8"))
         if not isinstance(values, dict):
             raise InvalidStateError("--config must contain a JSON object")
-        for sp in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-            sp.set_defaults(**{k.replace("-", "_"): v for k, v in values.items()})
+        values = {k.replace("-", "_"): v for k, v in values.items()}
+        subparsers = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
+        options = {a.dest for sp in subparsers for a in sp._actions}  # noqa: SLF001
+        unknown = sorted(set(values) - options - {"help"})
+        if unknown:
+            raise InvalidStateError(f"--config keys match no option of any command: {unknown}")
+        for sp in subparsers:
+            sp.set_defaults(**values)
     return argv
 
 
@@ -282,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(parser, argv)
         args = parser.parse_args(argv)
-    except FinslerError as exc:
+    except (FinslerError, ValueError, OSError) as exc:
         sys.stderr.write(_error_json(exc) + "\n")
         return EXIT_INPUT
     try:

@@ -23,14 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dsl
-from .degeneracy import (
-    DegeneracyData,
-    FrozenStructure,
-    _with_a_set,
-    analyze,
-    analyze_frozen,
-    freeze,
-)
+from .degeneracy import DegeneracyData, _with_a_set, analyze, analyze_frozen
 from .errors import DegeneracyError
 from .jet import Jet2, TangentPoint, compute_jets
 
@@ -244,14 +237,14 @@ def _solve_G_batch(
     spec: dsl.MetricSpec,
     x: np.ndarray,
     dxs: np.ndarray,
-    frozen: FrozenStructure,
+    base: DegeneracyData,
 ) -> np.ndarray:
-    """Spray at many directions from one base x, on a frozen smooth branch."""
+    """Spray at many directions from one base x, on ``base``'s branch."""
     xs = np.broadcast_to(x, (dxs.shape[0], x.shape[0]))
     jets = compute_jets(spec, xs, dxs, validate=False)
     out = np.empty((dxs.shape[0], x.shape[0]))
     for i, jet in enumerate(jets):
-        out[i] = solve_G(jet, analyze_frozen(jet, frozen)).G
+        out[i] = solve_G(jet, analyze_frozen(jet, base)).G
     return out
 
 
@@ -277,7 +270,7 @@ def coefficients_N(
     h = FD_STEP * float(np.linalg.norm(pt.dx))
     stencil = [p for e in np.eye(n1) for p in _stencil(pt.dx, h, e)]
     try:
-        G_vals = _solve_G_batch(spec, pt.x, np.array(stencil), freeze(deg))
+        G_vals = _solve_G_batch(spec, pt.x, np.array(stencil), deg)
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"finite differencing of G failed near a rank transition: {exc}",

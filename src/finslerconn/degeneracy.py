@@ -10,9 +10,10 @@ connection solver needs to invert its defining equations.
 One routine, ``_assemble``, builds every :class:`DegeneracyData` from the
 SVD of ``L2``, a rank and a regular block.  Its callers differ only in how
 they pick those: :func:`analyze` takes the rank from the singular values
-and the best invertible block by |det|; :func:`analyze_frozen` reuses the
-rank, split and signs pinned at a base point; ``_with_a_set`` swaps in
-another block for the regular-block retry of ``connection.solve_G``.
+and the best invertible block by |det|; :func:`analyze_frozen` keeps the
+branch (rank, block, split and signs) of a base point's
+:class:`DegeneracyData`; ``_with_a_set`` swaps in another block for the
+regular-block retry of ``connection.solve_G``.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from .jet import Jet2, TangentPoint, compute_jets
 
 __all__ = [
     "DegeneracyData",
-    "FrozenStructure",
     "analyze",
     "analyze_frozen",
-    "freeze",
     "detect_rank_drop",
     "RankDropReport",
 ]
@@ -69,19 +68,6 @@ class DegeneracyData:
     def rank_ambiguous(self) -> bool:
         """A singular-value gap below 10 around the rank threshold."""
         return self.gap_ratio < 10.0
-
-
-@dataclass(frozen=True)
-class FrozenStructure:
-    """Index split pinned at a base point so nearby evaluations stay on the
-    same smooth branch (used by finite-difference stencils and RK stages)."""
-
-    rank: int
-    D: int
-    a_indices: tuple[int, ...]
-    I_indices: tuple[int, ...]
-    zero_index: int
-    v_anchor: np.ndarray
 
 
 def _best_a_sets(L2: np.ndarray, rank: int) -> list[tuple[float, tuple[int, ...]]]:
@@ -281,25 +267,16 @@ def analyze(jet: Jet2, rank_tol: float = 1e-9) -> DegeneracyData:
     )
 
 
-def freeze(deg: DegeneracyData) -> FrozenStructure:
-    # anchor signs against the raw vectors: the dx-shift can dominate the
-    # corrected ones near L = 0 and would flip signs spuriously
-    return FrozenStructure(
-        rank=deg.rank,
-        D=deg.D,
-        a_indices=deg.a_indices,
-        I_indices=deg.I_indices,
-        zero_index=deg.zero_index,
-        v_anchor=deg.v_raw,
-    )
+def analyze_frozen(jet: Jet2, base: DegeneracyData) -> DegeneracyData:
+    """Re-analyze at a point near ``base``'s, keeping its rank, regular
+    block and index split, so the result varies smoothly.
 
-
-def analyze_frozen(jet: Jet2, frozen: FrozenStructure) -> DegeneracyData:
-    """Re-analyze at a nearby point keeping the base point's index split,
-    rank and eigenvector signs, so the result varies smoothly."""
+    Signs are anchored on ``base.v_raw``: the dx-shift can dominate the
+    corrected vectors near L = 0 and would flip signs spuriously.
+    """
     return _assemble(
-        jet, np.linalg.svd(jet.L2), frozen.rank, frozen.a_indices,
-        split=(frozen.zero_index, frozen.I_indices), anchors=frozen.v_anchor,
+        jet, np.linalg.svd(jet.L2), base.rank, base.a_indices,
+        split=(base.zero_index, base.I_indices), anchors=base.v_raw,
     )
 
 

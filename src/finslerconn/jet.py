@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsl
-from .errors import HomogeneityError
+from .errors import HomogeneityError, InvalidStateError
 
 __all__ = ["TangentPoint", "Jet2", "compute_jet", "compute_jets", "check_homogeneity", "HomogeneityReport"]
 
@@ -136,6 +136,8 @@ def compute_jets(
     rtol: float = 1e-9,
 ) -> list[Jet2]:
     """Batched form of :func:`compute_jet`; one expression pass for all points."""
+    if validate and not (np.isfinite(rtol) and rtol >= 0):
+        raise InvalidStateError(f"homogeneity tolerance must be finite and >= 0, got {rtol!r}")
     xs = np.asarray(xs, dtype=float)
     dxs = np.asarray(dxs, dtype=float)
     for i in range(xs.shape[0]):
@@ -170,7 +172,8 @@ def compute_jet(
 
     Raises :class:`HomogeneityError` when the derivative identities implied
     by 1-homogeneity fail at relative tolerance ``rtol`` (the expression is
-    then not a Finsler metric at this point).
+    then not a Finsler metric at this point), and
+    :class:`InvalidStateError` when ``rtol`` is not finite and >= 0.
     """
     if pt is not None:
         x, dx = pt.x, pt.dx

@@ -1,5 +1,7 @@
 """Integration, multiplier resolution, transport and gauge behavior."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from finslerconn.catalog import (
     levi_civita_transport,
     oscillator_oracle,
 )
-from finslerconn.dsl import evaluate
+from finslerconn.dsl import evaluate, parse
 from finslerconn.errors import InvalidStateError
 from finslerconn.jet import TangentPoint
 
@@ -204,9 +206,52 @@ def test_rank_transition_is_logged_midrun():
         assert any("rank-transition" in e for _, e in traj.events)
 
 
+def test_rank_transition_event_then_structured_halt(caplog):
+    # the direction Hessian loses rank as x0 -> 0; a loose rank_tol makes
+    # node 1 read rank 1, so integrate re-analyzes instead of staying frozen
+    spec = parse("sqrt(d0^2 + d1^2 + x0^2*d2^2)", dimension=3)
+    with caplog.at_level(logging.INFO, logger="finslerconn"):
+        traj = integrate(spec, [0.1, 0.0, 0.0], [-1.0, 0.2, 0.3], GaugeChoice.time(),
+                         steps=20, h=0.01, rank_tol=1e-2)
+    assert traj.events[0] == (1, "rank-transition 2 -> 1")
+    assert [(n.rank, n.D) for n in traj.nodes[:2]] == [(2, 0), (1, 1)]
+    assert [r.getMessage() for r in caplog.records
+            if r.levelno == logging.INFO] == ["step 1: rank-transition 2 -> 1"]
+    assert len(traj.nodes) == 10
+    assert traj.halt_reason.startswith("ConsistencyError: ")
+
+
+def test_index_split_change_event_sits_at_first_node_on_new_split(monkeypatch):
+    # a projection re-analyzes the node and can switch the split; the event
+    # must name that node, not the one after it
+    splits = []
+    node_from = autoparallel._node_from
+
+    def recording(res, tau, events):
+        splits.append(res.deg.I_indices)
+        return node_from(res, tau, events)
+
+    monkeypatch.setattr(autoparallel, "_node_from", recording)
+    entry = catalog_entry("second-class")
+    traj = integrate(entry.spec, [0.0, 0.0, -1.1], [1.0, -1.1, 0.0], GaugeChoice.time(),
+                     steps=60, h=0.01, project=True, constraint_tol=3e-16)
+    changes = [k for k, e in traj.events if e.startswith("index-split-change")]
+    assert changes == [k for k in range(1, len(splits)) if splits[k] != splits[k - 1]]
+    assert changes
+
+
 # ---------------------------------------------------------------------------
 # precondition failures
 # ---------------------------------------------------------------------------
+
+
+def test_initial_node_failure_raises():
+    # node 0's constraint gradients straddle the Frenkel rank transition
+    entry = catalog_entry("frenkel")
+    with pytest.raises(InvalidStateError, match="initial state cannot be resolved: "
+                       r"coordinate block \(2, 3\) became singular"):
+        integrate(entry.spec, [0.0, 0.1, -0.2, 0.0], [1.0, 0.5, 0.4, 1.19e-5],
+                  GaugeChoice.time(), steps=5, h=0.01)
 
 
 def test_inadmissible_initial_state_raises():

@@ -72,6 +72,19 @@ def test_inspect_rank_tol_outside_unit_interval_exit_2(capsys, rank_tol):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "InvalidStateError"
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_inspect_homogeneity_tol_not_finite_nonnegative_exit_2(capsys, tol):
+    code, out, err = run_cli(
+        capsys, "inspect", "--metric", "riemann-2d-curved",
+        "--x", "1.2,0.3", "--dx", "0.6,0.5", f"--homogeneity-tol={tol}",
+    )
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "InvalidStateError"
+    assert "homogeneity tolerance" in payload["message"]
+
+
 def test_inspect_curvature_flag(capsys):
     code, out, _ = run_cli(
         capsys, "inspect", "--metric", "euclidean-2",
@@ -165,6 +178,19 @@ def test_geodesic_non_finite_step_exit_2(capsys, h):
     assert code == 2
     assert out == ""
     assert json.loads(err.strip().splitlines()[-1])["error"] == "InvalidStateError"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_geodesic_initial_node_failure_exit_2(capsys, fmt):
+    code, out, err = run_cli(
+        capsys, "geodesic", "--metric", "frenkel", "--x", "0,0.1,-0.2,0",
+        "--dx", "1,0.5,0.4,1.19e-5", "--steps", "5", "--h", "0.01", "--format", fmt,
+    )
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "InvalidStateError"
+    assert payload["message"].startswith("initial state cannot be resolved: ")
 
 
 def test_geodesic_halt_exit_3_with_partial_output(tmp_path, capsys):
@@ -280,6 +306,29 @@ def test_config_file_provides_defaults(tmp_path, capsys):
     )
     assert code == 0
     assert len(out_path.read_text().strip().splitlines()) == 6
+
+
+def test_config_unknown_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"bogus_key": 1}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "catalog")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "InvalidStateError"
+    assert "bogus_key" in payload["message"]
+
+
+@pytest.mark.parametrize("content, error", [("{bad", "JSONDecodeError"),
+                                            (None, "FileNotFoundError")])
+def test_config_unreadable_exit_2(tmp_path, capsys, content, error):
+    cfg = tmp_path / "run.json"
+    if content is not None:
+        cfg.write_text(content)
+    code, out, err = run_cli(capsys, "--config", str(cfg), "catalog")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1])["error"] == error
 
 
 def test_env_verbosity_does_not_affect_output(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import pytest
 from conftest import fd_mixed_block, fd_x_gradient, sample_points
 from finslerconn.catalog import catalog, catalog_entry
 from finslerconn.dsl import parse
-from finslerconn.errors import HomogeneityError
+from finslerconn.errors import HomogeneityError, InvalidStateError
 from finslerconn.jet import TangentPoint, check_homogeneity, compute_jet, compute_jets
 
 
@@ -94,6 +94,15 @@ def test_non_homogeneous_metric_raises():
     bad = parse("d0^2 + d1^2", dimension=2)
     with pytest.raises(HomogeneityError, match="Euler identity"):
         compute_jet(bad, x=[0.0, 0.0], dx=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("rtol", [np.nan, -1.0, np.inf])
+def test_homogeneity_tolerance_must_be_finite_and_nonnegative(rtol):
+    # a NaN tolerance made every identity check pass, a negative one failed
+    # even an exact identity
+    entry = catalog_entry("riemann-2d-curved")
+    with pytest.raises(InvalidStateError, match="homogeneity tolerance"):
+        compute_jets(entry.spec, [[1.2, 0.3]], [[0.6, 0.5]], rtol=rtol)
 
 
 def test_check_homogeneity_euclidean():

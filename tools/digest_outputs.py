@@ -11,15 +11,20 @@ through ``benchmark/run.py``'s loader, and the inputs come from
   the emitted document, plus the transport's ``Z``, ``L_values`` and
   ``halt_reason`` for geodesics;
 - the ``verify`` report;
-- 24 transports of a random ``Z0``, 6 each on four regular metrics.
+- 24 transports of a random ``Z0``, 6 each on four regular metrics;
+- the exit code, stdout and stderr of ``finslerconn.cli.main`` on a fixed
+  list of failing inputs (``CLI_FAILURES``).
 
 Run it on two checkouts and ``diff`` the outputs: no line may differ.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path.cwd()
@@ -35,6 +40,22 @@ ROUNDS = range(4)
 TRANSPORT_METRICS = ("potential-system", "quartic-root", "riemann-3d-generic", "riemann-2d-curved")
 TRANSPORTS_EACH = 6
 TRANSPORT_STEPS = 30
+# argument lists of cli.main that must fail cleanly; "{config}" is the
+# path of a config file holding CLI_CONFIG
+CLI_CONFIG = '{"bogus_key": 1}'
+CLI_FAILURES = {
+    "frenkel-initial-node": ["geodesic", "--metric", "frenkel", "--x", "0,0.1,-0.2,0",
+                             "--dx", "1,0.5,0.4,1.19e-5", "--steps", "5", "--h", "0.01"],
+    "config-unknown-key": ["--config", "{config}", "catalog"],
+    "homogeneity-tol-nan": ["inspect", "--metric", "riemann-2d-curved", "--x", "1.2,0.3",
+                            "--dx", "0.6,0.5", "--homogeneity-tol", "nan"],
+    "homogeneity-tol-negative": ["inspect", "--metric", "riemann-2d-curved", "--x", "1.2,0.3",
+                                 "--dx", "0.6,0.5", "--homogeneity-tol", "-1"],
+    "rank-tol-nan": ["inspect", "--metric", "riemann-2d-curved", "--x", "1.2,0.3",
+                     "--dx", "0.6,0.5", "--rank-tol", "nan"],
+    "h-nan": ["geodesic", "--metric", "riemann-2d-curved", "--x", "1.2,0.3",
+              "--dx", "0.6,0.5", "--steps", "3", "--h", "nan"],
+}
 
 
 def digest(*parts) -> str:
@@ -95,11 +116,27 @@ def random_transport_lines(pkg):
             yield f"transport/{metric}/{k}", digest(*parts)
 
 
+def cli_failure_lines(pkg):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(CLI_CONFIG, encoding="utf-8")
+        for name, argv in CLI_FAILURES.items():
+            out, err = io.StringIO(), io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = pkg.cli.main([a.replace("{config}", str(config)) for a in argv])
+                parts = (code, out.getvalue(), err.getvalue())
+            except Exception as exc:  # an escaping exception is an output too
+                parts = failure(exc)
+            yield f"cli/{name}", digest(*parts)
+
+
 def main() -> int:
     pkg = run.load_package()
     lines = list(workload_lines(pkg))
     lines.append(("verify", digest(pkg.cli.render_report(pkg.cli.run_verification()))))
     lines.extend(random_transport_lines(pkg))
+    lines.extend(cli_failure_lines(pkg))
     for name, value in lines:
         print(name, value)
     return 0
