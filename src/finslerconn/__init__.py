@@ -32,6 +32,7 @@ from .dsl import (
 from .jet import (
     HomogeneityReport,
     Jet2,
+    JetBatch,
     TangentPoint,
     check_homogeneity,
     compute_jet,

@@ -44,7 +44,7 @@ from .errors import (
     DomainError,
     InvalidStateError,
 )
-from .jet import Jet2, TangentPoint, compute_jet, compute_jets
+from .jet import Jet2, JetBatch, TangentPoint, compute_jet, compute_jets
 
 logger = logging.getLogger("finslerconn")
 
@@ -241,9 +241,7 @@ def _c_gradients(
         states_x += [x, x]
         states_dx += [dx + hd * e, dx - hd * e]
     jets = compute_jets(spec, np.array(states_x), np.array(states_dx), validate=False)
-    Cs = np.array(
-        [constraint_residuals(j, analyze_frozen(j, base)) for j in jets]
-    )
+    Cs = constraint_residuals(jets, analyze_frozen(jets, base))
     C0 = Cs[0]
     gx = np.empty((D, n1))
     gdx = np.empty((D, n1))
@@ -297,7 +295,7 @@ def _resolve(
     elif gauge.kind == "custom":
         if gauge.lambda0_fn is None:
             raise InvalidStateError("custom gauge requires lambda0_fn")
-        if abs(jet.L) <= _l_floor(jet):
+        if abs(jet.L) <= _l_floor(JetBatch.of(jet))[0]:
             raise DegeneracyError("custom gauge needs a nonvanishing metric value")
         row0[0] = jet.L
         rhs0 = float(gauge.lambda0_fn(x, dx)) - omega + two_lam_p
@@ -656,13 +654,22 @@ def _transport_rhs(
     velocity: np.ndarray,
     rank_tol: float,
 ) -> np.ndarray:
-    """-dG/d(dx)(x, Z) contracted with the curve velocity, by directional FD."""
-    jet_z = compute_jet(spec, x=x, dx=Z, validate=False)
-    base = analyze(jet_z, rank_tol=rank_tol)
+    """-dG/d(dx)(x, Z) contracted with the curve velocity, by directional FD.
+
+    One jet batch holds (x, Z) and the four stencil directions.  When it
+    leaves the domain, (x, Z) is analyzed alone first, so its own
+    structural error comes before the stencil's domain error.
+    """
     vnorm = float(np.linalg.norm(velocity))
     s = FD_STEP * float(np.linalg.norm(Z)) / max(vnorm, 1e-300)
-    G = _solve_G_batch(spec, x, np.array(_stencil(Z, s, velocity)), base)
-    return -_richardson(G, s)
+    dirs = np.array([Z, *_stencil(Z, s, velocity)])
+    try:
+        jets = compute_jets(spec, np.broadcast_to(x, dirs.shape), dirs, validate=False)
+    except DomainError:
+        analyze(compute_jet(spec, x=x, dx=Z, validate=False), rank_tol=rank_tol)
+        raise
+    base = analyze(jets[0], rank_tol=rank_tol)
+    return -_richardson(_solve_G_batch(jets[1:], base), s)
 
 
 def parallel_transport(spec: dsl.MetricSpec, curve: Trajectory, Z0) -> TransportResult:

@@ -19,6 +19,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -128,7 +129,7 @@ def cmd_inspect(args) -> int:
     pt = TangentPoint(x, dx)
     jet = compute_jet(spec, pt=pt, rtol=args.homogeneity_tol)
     deg = analyze(jet, rank_tol=args.rank_tol)
-    conn = coefficients_N(spec, pt, rank_tol=args.rank_tol)
+    conn = coefficients_N(spec, pt, rank_tol=args.rank_tol, jet=jet, deg=deg)
     doc = {
         "metric": metric_to_json(spec),
         "point": {"x": x, "dx": dx},
@@ -137,7 +138,7 @@ def cmd_inspect(args) -> int:
         "connection": _connection_dict(conn),
     }
     if args.curvature:
-        cd = curvature_torsion(spec, pt, rank_tol=args.rank_tol)
+        cd = curvature_torsion(spec, pt, rank_tol=args.rank_tol, N=conn.N)
         doc["curvature"] = {
             "R": cd.R, "N2": cd.N2, "x_step": cd.x_step, "dx_step": cd.dx_step,
         }
@@ -208,8 +209,28 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error as an
+    :class:`InvalidStateError` instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise InvalidStateError(f"{self.prog}: {message}")
+
+
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    """``--x -0.2,0.3`` as ``--x=-0.2,0.3``: argparse would take a vector
+    whose first component is negative for an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--x", "--dx") and re.match(r"-[0-9.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finslerconn",
         description="Nonlinear connections and constrained geodesics of Finsler metrics",
     )
@@ -263,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     # pull --config out first so its values become parser defaults
-    probe = argparse.ArgumentParser(add_help=False)
+    probe = _Parser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if known.config:
@@ -283,7 +304,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _attach_vector_values(list(sys.argv[1:] if argv is None else argv))
     parser = build_parser()
     try:
         argv = _apply_config(parser, argv)
@@ -292,7 +313,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(_error_json(exc) + "\n")
         return EXIT_INPUT
     try:
-        return args.func(args)
+        # every non-finite value halts or fails through an explicit check,
+        # so numpy's floating-point warnings would only add noise to stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConsistencyError as exc:
         sys.stderr.write(_error_json(exc) + "\n")
         return EXIT_HALT

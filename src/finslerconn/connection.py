@@ -23,9 +23,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dsl
-from .degeneracy import DegeneracyData, _with_a_set, analyze, analyze_frozen
+from .degeneracy import (
+    DegeneracyData,
+    _assemble,
+    _dot,
+    _first_failure,
+    _norm,
+    _with_a_set,
+    analyze,
+)
 from .errors import DegeneracyError
-from .jet import Jet2, TangentPoint, compute_jets
+from .jet import Jet2, JetBatch, TangentPoint, compute_jets
 
 __all__ = [
     "EllBasis",
@@ -95,30 +103,71 @@ class CurvatureData:
     dx_step: float
 
 
-def moment_map(jet: Jet2) -> np.ndarray:
-    """M = 1/2 (-dL/dx + mixed . dx): the source term of the lambda equations."""
-    return 0.5 * (-jet.dL_dx + jet.mixed @ jet.dx)
+def moment_map(jet: Jet2 | JetBatch) -> np.ndarray:
+    """M = 1/2 (-dL/dx + mixed . dx): the source term of the lambda equations
+    (one row per point for a :class:`JetBatch`)."""
+    return 0.5 * (-jet.dL_dx + (jet.mixed @ jet.dx[..., None])[..., 0])
 
 
-def constraint_residuals(jet: Jet2, deg: DegeneracyData) -> np.ndarray:
+def constraint_residuals(jets: JetBatch | Jet2, degs) -> np.ndarray:
     """C_I: the components of the defining equations no multiplier can absorb.
 
-    Invariant under shifting v along dx and under the regular-block choice,
-    so it is evaluated with the raw (unshifted) vectors, which stay smooth
-    across surfaces where the metric value vanishes; no frame is needed.
+    ``jets`` is a :class:`JetBatch` with one :class:`DegeneracyData` per
+    point, all on one branch (as :func:`analyze_frozen` returns them), and
+    the result has one row per point; or a single :class:`Jet2` with its
+    ``DegeneracyData``.  Invariant under shifting v along dx and under the
+    regular-block choice, so it is evaluated with the raw (unshifted)
+    vectors, which stay smooth across surfaces where the metric value
+    vanishes; no frame is needed.
     """
-    if deg.D == 0:
-        return np.zeros(0)
-    M = moment_map(jet)
-    a_idx = np.asarray(deg.a_indices, dtype=int)
-    C = deg.v_raw @ M
-    if a_idx.size:
-        C = C - (deg.v_raw @ jet.L2)[:, a_idx] @ (deg.Lab_inv @ M[a_idx])
-    return np.asarray(C, dtype=float)
+    single = isinstance(jets, Jet2)
+    if single:
+        jets, degs = JetBatch.of(jets), [degs]
+    if degs[0].D == 0:
+        C = np.zeros((len(jets), 0))
+    else:
+        M = moment_map(jets)
+        a_idx = np.asarray(degs[0].a_indices, dtype=int)
+        v_raw = np.array([d.v_raw for d in degs])
+        lam = np.array([d.Lab_inv for d in degs]) @ M[:, a_idx, None]
+        C = ((v_raw @ M[:, :, None]) - (v_raw @ jets.L2)[:, :, a_idx] @ lam)[:, :, 0]
+    return C[0] if single else C
 
 
-def _l_floor(jet: Jet2) -> float:
-    return 1e-12 * max(float(np.linalg.norm(jet.p) * np.linalg.norm(jet.dx)), 1e-30)
+def _l_floor(jets: JetBatch) -> np.ndarray:
+    return 1e-12 * np.maximum(_norm(jets.p) * _norm(jets.dx), 1e-30)
+
+
+def _frames(jets: JetBatch, degs: list[DegeneracyData]) -> dict:
+    """The adapted frames of a batch on one branch, stacked (``ell0``,
+    ``ellI``, ``ella``, ``matrix``, ``det``); raises what a per-point loop
+    raises first: a vanishing metric value, then a degenerate frame."""
+    B, n1 = jets.dx.shape
+    a_indices = degs[0].a_indices
+    vanishing = np.abs(jets.L) <= _l_floor(jets)
+    L = np.where(vanishing, 1.0, jets.L)[:, None]
+    ell0 = jets.dx / L
+    ellI = np.array([d.v for d in degs])
+    ella = np.zeros((B, len(a_indices), n1))
+    for row, a in enumerate(a_indices):
+        ella[:, row, a] = 1.0
+        ella[:, row] -= (jets.p[:, a:a + 1] / L) * jets.dx
+    matrix = np.concatenate([ell0[:, None, :], ellI, ella], axis=1)
+    det = np.linalg.det(matrix)
+    scale = np.prod(np.linalg.norm(matrix, axis=2), axis=1)
+    failed = _first_failure([
+        (vanishing, lambda b: DegeneracyError(
+            "metric value vanishes at this point; the flow-normalized frame "
+            "ell_0 = dx/L is undefined", L=float(jets.L[b]),
+        )),
+        (np.abs(det) <= 1e-12 * np.maximum(scale, 1e-30), lambda b: DegeneracyError(
+            "adapted frame is numerically degenerate; re-pivot the regular block",
+            det=float(det[b]), a_indices=a_indices,
+        )),
+    ])
+    if failed is not None:
+        raise failed[1]
+    return {"ell0": ell0, "ellI": ellI, "ella": ella, "matrix": matrix, "det": det}
 
 
 def build_ell_basis(jet: Jet2, deg: DegeneracyData) -> EllBasis:
@@ -128,27 +177,28 @@ def build_ell_basis(jet: Jet2, deg: DegeneracyData) -> EllBasis:
     (up to the recorded correction defects).  A near-zero determinant
     signals an ill-chosen regular block and raises.
     """
-    if abs(jet.L) <= _l_floor(jet):
-        raise DegeneracyError(
-            "metric value vanishes at this point; the flow-normalized frame "
-            "ell_0 = dx/L is undefined", L=jet.L,
-        )
-    n1 = jet.dimension
-    ell0 = jet.dx / jet.L
-    ellI = deg.v.copy() if deg.D else np.zeros((0, n1))
-    ella = np.zeros((len(deg.a_indices), n1))
-    for row, a in enumerate(deg.a_indices):
-        ella[row, a] = 1.0
-        ella[row] -= (jet.p[a] / jet.L) * jet.dx
-    matrix = np.vstack([ell0[None, :], ellI, ella])
-    det = float(np.linalg.det(matrix))
-    scale = float(np.prod(np.linalg.norm(matrix, axis=1)))
-    if abs(det) <= 1e-12 * max(scale, 1e-30):
-        raise DegeneracyError(
-            "adapted frame is numerically degenerate; re-pivot the regular block",
-            det=det, a_indices=deg.a_indices,
-        )
-    return EllBasis(ell0=ell0, ellI=ellI, ella=ella, matrix=matrix, det=det)
+    f = _frames(JetBatch.of(jet), [deg])
+    return EllBasis(
+        ell0=f["ell0"][0], ellI=f["ellI"][0], ella=f["ella"][0], matrix=f["matrix"][0],
+        det=float(f["det"][0]),
+    )
+
+
+def _spray(jets: JetBatch, degs: list[DegeneracyData], lamI: np.ndarray) -> dict:
+    """The spray of a batch on one branch in stacked numpy calls: the
+    :func:`_frames` fields plus ``M``, ``lambda_a``, ``omega`` and ``G``,
+    one row per point; ``lamI`` holds each point's gauge multipliers."""
+    f = _frames(jets, degs)
+    M = moment_map(jets)
+    a_idx = np.asarray(degs[0].a_indices, dtype=int)
+    lambda_a = (np.array([d.Lab_inv for d in degs]) @ M[:, a_idx, None])[:, :, 0]
+    omega = _dot(jets.dx, jets.dL_dx)
+    G = (0.5 * omega)[:, None] * f["ell0"]
+    if degs[0].D:
+        G = G + (lamI[:, None, :] @ f["ellI"])[:, 0]
+    if a_idx.size:
+        G = G + (lambda_a[:, None, :] @ f["ella"])[:, 0]
+    return {**f, "M": M, "lambda_a": lambda_a, "omega": omega, "G": G}
 
 
 def solve_G(
@@ -167,55 +217,48 @@ def solve_G(
     if lamI.shape != (deg.D,):
         raise ValueError(f"gauge_lambdaI must have shape ({deg.D},)")
 
-    basis = None
+    jets = JetBatch.of(jet)
+    sp = None
     last_err: Exception | None = None
     for candidate in deg.a_candidates:
         trial = deg if candidate == deg.a_indices else _with_a_set(jet, deg, candidate)
         try:
-            basis = build_ell_basis(jet, trial)
+            sp = _spray(jets, [trial], lamI[None])
             deg = trial
             break
         except DegeneracyError as exc:
             last_err = exc
-    if basis is None:
+    if sp is None:
         raise last_err  # every candidate block failed
 
-    M = moment_map(jet)
-    a_idx = np.asarray(deg.a_indices, dtype=int)
-    Ma = M[a_idx] if a_idx.size else np.zeros(0)
-    lambda_a = deg.Lab_inv @ Ma if a_idx.size else np.zeros(0)
-    omega = float(jet.dx @ jet.dL_dx)
-
-    G = 0.5 * omega * basis.ell0
-    if deg.D:
-        G = G + lamI @ basis.ellI
-    if a_idx.size:
-        G = G + lambda_a @ basis.ella
-
-    C = constraint_residuals(jet, deg)
+    G = sp["G"][0]
+    M = sp["M"][0]
+    lambda_a = sp["lambda_a"][0]
+    omega = float(sp["omega"][0])
+    C = constraint_residuals(jets, [deg])[0]
 
     omega_residual = float(2.0 * jet.p @ G - omega)
 
     smax = float(deg.sing_values[0]) if deg.sing_values.size else 0.0
     m_norm = float(np.linalg.norm(M))
     blowup = bool(
-        a_idx.size
+        lambda_a.size
         and float(np.linalg.norm(lambda_a)) * smax > LAMBDA_BLOWUP_RATIO * max(m_norm, 1e-300)
     )
 
     return ConnectionData(
         G=G,
         N=None,
-        ell0=basis.ell0,
-        ellI=basis.ellI,
-        ella=basis.ella,
+        ell0=sp["ell0"][0],
+        ellI=sp["ellI"][0],
+        ella=sp["ella"][0],
         lambda_a=lambda_a,
         M=M,
-        C=np.asarray(C, dtype=float),
+        C=C,
         gauge_lambdaI=lamI,
         omega=omega,
         omega_residual=omega_residual,
-        basis_det=basis.det,
+        basis_det=float(sp["det"][0]),
         lambda_blowup=blowup,
     )
 
@@ -233,25 +276,32 @@ def _richardson(values, h: float):
     return (4.0 * ((fp2 - fm2) / h) - (fp - fm) / (2.0 * h)) / 3.0
 
 
-def _solve_G_batch(
-    spec: dsl.MetricSpec,
-    x: np.ndarray,
-    dxs: np.ndarray,
-    base: DegeneracyData,
-) -> np.ndarray:
-    """Spray at many directions from one base x, on ``base``'s branch."""
-    xs = np.broadcast_to(x, (dxs.shape[0], x.shape[0]))
-    jets = compute_jets(spec, xs, dxs, validate=False)
-    out = np.empty((dxs.shape[0], x.shape[0]))
-    for i, jet in enumerate(jets):
-        out[i] = solve_G(jet, analyze_frozen(jet, base)).G
-    return out
+def _solve_G_batch(jets: JetBatch, base: DegeneracyData) -> np.ndarray:
+    """Spray at the points of ``jets`` on ``base``'s branch, one row each.
+
+    The structure and the spray each take one stacked pass.  The batch
+    raises what a per-point loop of :func:`analyze_frozen` and
+    :func:`solve_G` raises first: such a loop checks each point's spray
+    before the next point's structure, so the points before the first
+    structural failure get their spray checked first.
+    """
+    degs, error = _assemble(
+        jets, np.linalg.svd(jets.L2), base.rank, base.a_indices,
+        (base.zero_index, base.I_indices), anchors=base.v_raw,
+    )
+    if degs:
+        G = _spray(jets[: len(degs)], degs, np.zeros((len(degs), base.D)))["G"]
+    if error is not None:
+        raise error
+    return G
 
 
 def coefficients_N(
     spec: dsl.MetricSpec,
     pt: TangentPoint,
     rank_tol: float = 1e-9,
+    jet: Jet2 | None = None,
+    deg: DegeneracyData | None = None,
 ) -> ConnectionData:
     """Connection coefficients N = dG/d(dx) by Richardson-extrapolated
     central differences.
@@ -260,17 +310,24 @@ def coefficients_N(
     differentiable, so G is differentiated numerically on a frozen
     structural branch; this is the accuracy bottleneck of the pipeline
     (about 1e-8 relative).  Raises when the numerical rank changes inside
-    the stencil.
+    the stencil.  ``jet`` and ``deg``, the jet at ``pt`` and its
+    :func:`analyze` at ``rank_tol``, are computed unless the caller
+    passes them.
     """
-    jet = compute_jets(spec, pt.x[None, :], pt.dx[None, :], validate=False)[0]
-    deg = analyze(jet, rank_tol=rank_tol)
+    if jet is None:
+        jet = compute_jets(spec, pt.x[None, :], pt.dx[None, :], validate=False)[0]
+    if deg is None:
+        deg = analyze(jet, rank_tol=rank_tol)
     base = solve_G(jet, deg)
 
     n1 = spec.dimension
     h = FD_STEP * float(np.linalg.norm(pt.dx))
     stencil = [p for e in np.eye(n1) for p in _stencil(pt.dx, h, e)]
+    jets = compute_jets(
+        spec, np.broadcast_to(pt.x, (len(stencil), n1)), np.array(stencil), validate=False
+    )
     try:
-        G_vals = _solve_G_batch(spec, pt.x, np.array(stencil), deg)
+        G_vals = _solve_G_batch(jets, deg)
     except DegeneracyError as exc:
         raise DegeneracyError(
             f"finite differencing of G failed near a rank transition: {exc}",
@@ -299,12 +356,15 @@ def curvature_torsion(
     spec: dsl.MetricSpec,
     pt: TangentPoint,
     rank_tol: float = 1e-9,
+    N: np.ndarray | None = None,
 ) -> CurvatureData:
     """Formal curvature and Berwald-type direction derivatives of N.
 
     R[mu, beta, gamma] combines central x-derivatives of N with the
     quadratic N2.N terms and is antisymmetrized exactly in (beta, gamma);
-    N2 is reported raw so its symmetry is a meaningful check.
+    N2 is reported raw so its symmetry is a meaningful check.  ``N``, the
+    :func:`coefficients_N` at ``pt``, is computed unless the caller passes
+    it.
     """
     n1 = spec.dimension
     x, dx = pt.x, pt.dx
@@ -312,7 +372,7 @@ def curvature_torsion(
     def N_at(x_val: np.ndarray, dx_val: np.ndarray) -> np.ndarray:
         return coefficients_N(spec, TangentPoint(x_val, dx_val), rank_tol=rank_tol).N
 
-    N0 = N_at(x, dx)
+    N0 = N_at(x, dx) if N is None else N
 
     # dN/dx by Richardson central differences; stencil must stay admissible
     hx = FD_STEP * (1.0 + np.abs(x))

@@ -8,12 +8,16 @@ indices a}, and the inverse of the regular block: everything the
 connection solver needs to invert its defining equations.
 
 One routine, ``_assemble``, builds every :class:`DegeneracyData` from the
-SVD of ``L2``, a rank and a regular block.  Its callers differ only in how
-they pick those: :func:`analyze` takes the rank from the singular values
-and the best invertible block by |det|; :func:`analyze_frozen` keeps the
-branch (rank, block, split and signs) of a base point's
-:class:`DegeneracyData`; ``_with_a_set`` swaps in another block for the
-regular-block retry of ``connection.solve_G``.
+SVD of ``L2``, a rank, a regular block and an index split.  It works on a
+:class:`JetBatch` whose points share that branch, in one stacked numpy
+call per step (SVD, null-vector projector, block singularity test,
+inverse), and a batch raises what a loop over its points would raise
+first.  Its callers differ only in how they pick the branch:
+:func:`analyze` takes the rank from the singular values and the best
+invertible block by |det| (a batch of one); :func:`analyze_frozen` keeps
+the branch (rank, block, split and signs) of a base point's
+:class:`DegeneracyData` for a whole batch; ``_with_a_set`` swaps in
+another block for the regular-block retry of ``connection.solve_G``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import dsl
 from .errors import DegeneracyError, InvalidStateError
-from .jet import Jet2, TangentPoint, compute_jets
+from .jet import Jet2, JetBatch, TangentPoint, compute_jets
 
 __all__ = [
     "DegeneracyData",
@@ -82,84 +86,96 @@ def _best_a_sets(L2: np.ndarray, rank: int) -> list[tuple[float, tuple[int, ...]
     return scored
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(v)
-    for comp in v:
-        if abs(comp) > 1e-9 * nrm:
-            return v if comp > 0 else -v
-    return v
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a . b of two (B, n) stacks; each row has the bits of the
+    1-d ``a @ b`` (an ``axis=`` sum or ``einsum`` differs in the last bit)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _eigvec_from_axis(
-    proj: np.ndarray,
-    axis: int,
-    jet: Jet2,
-    anchor: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, bool, float]:
-    """Null-space representative closest to coordinate axis ``axis``.
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Row-wise 2-norm of a (B, n) stack, with the bits of ``np.linalg.norm``
+    of each row."""
+    return np.sqrt(_dot(a, a))
 
-    Normalized to unit norm with a deterministic sign, then shifted along
-    dx so that p.v = 0 whenever L allows the shift.  Returns
-    (v, v_raw, correction_skipped, residual |p.v|/|p| after the attempt);
-    ``v_raw`` is the unshifted vector, which stays smooth across surfaces
-    where L vanishes and feeds every dx-shift-invariant formula.
-    """
-    v = proj[:, axis].copy()
-    nrm = float(np.linalg.norm(v))
-    if nrm < 1e-8:
-        raise DegeneracyError(
-            f"coordinate axis {axis} has no null-space component; "
-            "degenerate index split", axis=axis,
-        )
-    v /= nrm
-    if anchor is not None:
-        if float(v @ anchor) < 0:
-            v = -v
-    else:
-        v = _fix_sign(v)
-    raw = v
 
-    p = jet.p
-    p_norm = float(np.linalg.norm(p))
-    w = float(p @ v)
-    skipped = False
-    if p_norm > 0 and abs(w) > P_ORTHO_TOL * p_norm:
-        l_scale = p_norm * float(np.linalg.norm(jet.dx))
-        if abs(jet.L) > 1e-12 * max(l_scale, 1.0):
-            v = v - (w / jet.L) * jet.dx
-        else:
-            # cannot shift along dx when L vanishes; report the defect
-            skipped = True
-    residual = abs(float(p @ v)) / p_norm if p_norm > 0 else 0.0
-    return v, raw, skipped, residual
+def _first_failure(checks) -> tuple[int, Exception] | None:
+    """The failure a per-point loop over the batch meets first: the lowest
+    failing point, at its first failing check.  ``checks`` lists
+    (failure mask over the batch, error factory of the point) in the
+    per-point check order."""
+    first = None
+    for mask, error in checks:
+        hits = np.flatnonzero(mask)
+        if hits.size and (first is None or hits[0] < first[0]):
+            first = (int(hits[0]), error)
+    return None if first is None else (first[0], first[1](first[0]))
 
 
 def null_vectors(
-    jet: Jet2,
+    jets: JetBatch,
     Vt: np.ndarray,
     rank: int,
     I_indices: tuple[int, ...],
     anchors: np.ndarray | None = None,
-) -> dict:
-    """The null vector closest to each I axis, as :class:`DegeneracyData`
-    fields (``v``, ``v_raw``, ``correction_skipped``, ``p_residuals``).
+) -> tuple[dict, list]:
+    """The null vector closest to each I axis at each point, stacked.
 
-    ``Vt`` holds the right singular vectors of ``jet.L2``; rows of
-    ``anchors`` fix the signs, otherwise they are deterministic.
+    Each is normalized to unit norm with a deterministic sign, then
+    shifted along dx so that p.v = 0 whenever L allows the shift.  Returns
+    the :class:`DegeneracyData` fields ``v``, ``v_raw`` (the unshifted
+    vectors, which stay smooth across surfaces where L vanishes and feed
+    every dx-shift-invariant formula), ``correction_skipped`` and
+    ``p_residuals`` (|p.v|/|p| after the shift) with a leading batch
+    axis, and one :func:`_first_failure` check per I axis: the axis has
+    no null-space component.  ``Vt`` holds the right singular vectors of
+    ``jets.L2``; rows of ``anchors`` fix the signs, otherwise they are
+    deterministic.
     """
-    Nb = Vt[rank:]
-    proj = Nb.T @ Nb
-    rows = [
-        _eigvec_from_axis(proj, i, jet, None if anchors is None else anchors[slot])
+    B, n1 = jets.dx.shape
+    nI = len(I_indices)
+    if nI == 0:  # regular branch: no null direction beyond dx
+        empty = np.zeros((B, 0))
+        return {"v": np.zeros((B, 0, n1)), "v_raw": np.zeros((B, 0, n1)),
+                "correction_skipped": empty.astype(bool), "p_residuals": empty}, []
+    Nb = Vt[:, rank:]
+    proj = Nb.transpose(0, 2, 1) @ Nb
+    # one row per (point, I axis): the projector's column of that axis
+    v = proj[:, :, list(I_indices)].transpose(0, 2, 1).reshape(B * nI, n1)
+    p, L, dx = (np.repeat(a, nI, axis=0) for a in (jets.p, jets.L, jets.dx))
+    nrm = _norm(v)
+    missing = nrm < 1e-8
+    v /= np.where(missing, 1.0, nrm)[:, None]
+    if anchors is not None:
+        flip = _dot(v, np.tile(anchors, (B, 1))) < 0
+    else:
+        # the sign of the first component that is not negligible
+        big = np.abs(v) > 1e-9 * _norm(v)[:, None]
+        first = v[np.arange(B * nI), big.argmax(axis=1)]
+        flip = big.any(axis=1) & ~(first > 0)
+    v = np.where(flip[:, None], -v, v)
+    raw = v
+
+    p_norm = _norm(p)
+    w = _dot(p, v)
+    needed = (p_norm > 0) & (np.abs(w) > P_ORTHO_TOL * p_norm)
+    # cannot shift along dx when L vanishes; report the defect
+    possible = np.abs(L) > 1e-12 * np.maximum(p_norm * _norm(dx), 1.0)
+    shift = needed & possible
+    v = np.where(shift[:, None], v - (w / np.where(shift, L, 1.0))[:, None] * dx, v)
+    residual = np.divide(np.abs(_dot(p, v)), p_norm, out=np.zeros(B * nI), where=p_norm > 0)
+    checks = [
+        (missing.reshape(B, nI)[:, slot], lambda b, i=i: DegeneracyError(
+            f"coordinate axis {i} has no null-space component; "
+            "degenerate index split", axis=i,
+        ))
         for slot, i in enumerate(I_indices)
     ]
-    empty = np.zeros((0, jet.dimension))
     return {
-        "v": np.array([r[0] for r in rows]) if rows else empty,
-        "v_raw": np.array([r[1] for r in rows]) if rows else empty,
-        "correction_skipped": tuple(r[2] for r in rows),
-        "p_residuals": np.array([r[3] for r in rows]),
-    }
+        "v": v.reshape(B, nI, n1),
+        "v_raw": raw.reshape(B, nI, n1),
+        "correction_skipped": (needed & ~possible).reshape(B, nI),
+        "p_residuals": residual.reshape(B, nI),
+    }, checks
 
 
 def index_split(jet: Jet2, a_indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -181,51 +197,71 @@ def _rank(sv: np.ndarray, rank_tol: float) -> int:
 
 
 def _assemble(
-    jet: Jet2,
+    jets: JetBatch,
     svd: tuple[np.ndarray, np.ndarray, np.ndarray],
     rank: int,
     a_indices: tuple[int, ...],
-    split: tuple[int, tuple[int, ...]] | None = None,
+    split: tuple[int, tuple[int, ...]],
     anchors: np.ndarray | None = None,
     a_candidates: tuple[tuple[int, ...], ...] | None = None,
-) -> DegeneracyData:
-    """:class:`DegeneracyData` of ``jet`` at the given rank and regular block.
+) -> tuple[list[DegeneracyData], DegeneracyError | None]:
+    """:class:`DegeneracyData` of each point of ``jets`` at one rank, regular
+    block and index split (zero_index, I_indices), in stacked numpy calls.
 
-    ``svd`` is ``np.linalg.svd(jet.L2)``.  ``split`` pins (zero_index,
-    I_indices), otherwise :func:`index_split` picks them; ``anchors`` fix
-    the null-vector signs.  Raises when the block is numerically singular.
+    ``svd`` is ``np.linalg.svd(jets.L2)``; ``anchors`` fix the null-vector
+    signs.  Returns the data of the points before the first failing one
+    and that point's error (None when every point passes), so that a
+    batch raises what a per-point loop raises first: the missing
+    null-space component of an I axis (in axis order), then a numerically
+    singular block.
     """
     _, sv, Vt = svd
+    B, n1 = jets.dx.shape
     a_indices = tuple(a_indices)
-    zero_index, I_indices = split if split is not None else index_split(jet, a_indices)
-    nulls = null_vectors(jet, Vt, rank, I_indices, anchors)
-    gap = float(sv[rank - 1] / sv[rank]) if 0 < rank < sv.size and sv[rank] > 0 else np.inf
-    smax = float(sv[0])
+    zero_index, I_indices = split
+    nulls, checks = null_vectors(jets, Vt, rank, I_indices, anchors)
+    gap = np.full(B, np.inf)
+    if 0 < rank < n1:
+        pos = sv[:, rank] > 0
+        gap[pos] = sv[pos, rank - 1] / sv[pos, rank]
+    smax = sv[:, 0]
+    a_idx = np.asarray(a_indices, dtype=int)
+    blocks = jets.L2[:, a_idx[:, None], a_idx]
     if rank > 0:
-        block = jet.L2[np.ix_(a_indices, a_indices)]
-        if np.linalg.svd(block, compute_uv=False)[-1] <= 1e-14 * max(smax, 1e-300):
-            raise DegeneracyError(
+        smin = np.linalg.svd(blocks, compute_uv=False)[:, -1]
+        checks.append((
+            smin <= 1e-14 * np.maximum(smax, 1e-300),
+            lambda b: DegeneracyError(
                 f"coordinate block {a_indices} became singular (rank "
-                "transition nearby)", a_indices=a_indices, gap=gap,
-            )
-        Lab_inv = np.linalg.inv(block)
-    else:
-        Lab_inv = np.zeros((0, 0))
-    dx_norm = float(np.linalg.norm(jet.dx))
-    return DegeneracyData(
-        rank=rank,
-        D=jet.dimension - 1 - rank,
-        **nulls,
-        a_indices=a_indices,
-        I_indices=I_indices,
-        zero_index=zero_index,
-        Lab_inv=Lab_inv,
-        sing_values=sv,
-        gap_ratio=gap,
-        dx_null_defect=float(np.linalg.norm(jet.L2 @ jet.dx)) / (smax * dx_norm)
-        if smax > 0 else 0.0,
-        a_candidates=(a_indices,) if a_candidates is None else a_candidates,
-    )
+                "transition nearby)", a_indices=a_indices, gap=float(gap[b]),
+            ),
+        ))
+    failed = _first_failure(checks)
+    n_ok = B if failed is None else failed[0]
+    Lab_inv = np.linalg.inv(blocks[:n_ok]) if rank > 0 else np.zeros((n_ok, 0, 0))
+    L2_dx = (jets.L2 @ jets.dx[:, :, None])[:, :, 0]
+    scale = smax * _norm(jets.dx)
+    defect = np.divide(_norm(L2_dx), scale, out=np.zeros(B), where=smax > 0)
+    degs = [
+        DegeneracyData(
+            rank=rank,
+            D=n1 - 1 - rank,
+            v=nulls["v"][b],
+            v_raw=nulls["v_raw"][b],
+            a_indices=a_indices,
+            I_indices=I_indices,
+            zero_index=zero_index,
+            Lab_inv=Lab_inv[b],
+            sing_values=sv[b],
+            gap_ratio=float(gap[b]),
+            p_residuals=nulls["p_residuals"][b],
+            correction_skipped=tuple(bool(c) for c in nulls["correction_skipped"][b]),
+            dx_null_defect=float(defect[b]),
+            a_candidates=(a_indices,) if a_candidates is None else a_candidates,
+        )
+        for b in range(n_ok)
+    ]
+    return degs, None if failed is None else failed[1]
 
 
 def analyze(jet: Jet2, rank_tol: float = 1e-9) -> DegeneracyData:
@@ -240,8 +276,9 @@ def analyze(jet: Jet2, rank_tol: float = 1e-9) -> DegeneracyData:
     """
     L2 = jet.L2
     n = L2.shape[0] - 1
-    svd = np.linalg.svd(L2)
-    sv = svd[1]
+    jets = JetBatch.of(jet)
+    svd = np.linalg.svd(jets.L2)
+    sv = svd[1][0]
     rank = _rank(sv, rank_tol)
     if rank > n:
         # dx must be in the null space of a 1-homogeneous metric
@@ -262,27 +299,45 @@ def analyze(jet: Jet2, rank_tol: float = 1e-9) -> DegeneracyData:
             "no invertible coordinate block of the reduced size exists",
             rank=rank, best_det=ranked[0][0],
         )
-    return _assemble(
-        jet, svd, rank, a_indices, a_candidates=tuple(combo for _, combo in ranked[:8])
+    degs, error = _assemble(
+        jets, svd, rank, a_indices, index_split(jet, a_indices),
+        a_candidates=tuple(combo for _, combo in ranked[:8]),
     )
+    if error is not None:
+        raise error
+    return degs[0]
 
 
-def analyze_frozen(jet: Jet2, base: DegeneracyData) -> DegeneracyData:
-    """Re-analyze at a point near ``base``'s, keeping its rank, regular
-    block and index split, so the result varies smoothly.
+def analyze_frozen(jets: JetBatch | Jet2, base: DegeneracyData):
+    """Re-analyze near ``base``'s point, keeping its rank, regular block and
+    index split, so the result varies smoothly.
 
-    Signs are anchored on ``base.v_raw``: the dx-shift can dominate the
-    corrected vectors near L = 0 and would flip signs spuriously.
+    ``jets`` is a :class:`JetBatch`, analyzed in one stacked pass into a
+    list of :class:`DegeneracyData` (raising what a per-point loop would
+    raise first), or a single :class:`Jet2`, a batch of one.  Signs are
+    anchored on ``base.v_raw``: the dx-shift can dominate the corrected
+    vectors near L = 0 and would flip signs spuriously.
     """
-    return _assemble(
-        jet, np.linalg.svd(jet.L2), base.rank, base.a_indices,
-        split=(base.zero_index, base.I_indices), anchors=base.v_raw,
+    single = isinstance(jets, Jet2)
+    batch = JetBatch.of(jets) if single else jets
+    degs, error = _assemble(
+        batch, np.linalg.svd(batch.L2), base.rank, base.a_indices,
+        (base.zero_index, base.I_indices), anchors=base.v_raw,
     )
+    if error is not None:
+        raise error
+    return degs[0] if single else degs
 
 
 def _with_a_set(jet: Jet2, deg: DegeneracyData, a_indices: tuple[int, ...]) -> DegeneracyData:
     """``deg`` rebuilt on another regular block of the same rank."""
-    return _assemble(jet, np.linalg.svd(jet.L2), deg.rank, a_indices)
+    jets = JetBatch.of(jet)
+    degs, error = _assemble(
+        jets, np.linalg.svd(jets.L2), deg.rank, a_indices, index_split(jet, a_indices)
+    )
+    if error is not None:
+        raise error
+    return degs[0]
 
 
 @dataclass
@@ -312,12 +367,8 @@ def detect_rank_drop(
     """
     xs = np.array([pt.x for pt in pt_sequence])
     dxs = np.array([pt.dx for pt in pt_sequence])
-    jets = compute_jets(spec, xs, dxs, validate=False)
-    ranks, svs = [], []
-    for jet in jets:
-        sv = np.linalg.svd(jet.L2, compute_uv=False)
-        ranks.append(_rank(sv, rank_tol))
-        svs.append(sv)
+    svs = list(np.linalg.svd(compute_jets(spec, xs, dxs, validate=False).L2, compute_uv=False))
+    ranks = [_rank(sv, rank_tol) for sv in svs]
     transitions = [
         (k, ranks[k - 1], ranks[k])
         for k in range(1, len(ranks))

@@ -647,7 +647,7 @@ def require_admissible(spec: MetricSpec, x: np.ndarray, dx: np.ndarray):
         val = eval_values(spec.domain_guard, spec.params, x[None, :], dx[None, :])[0]
         if not val > 0.0:
             raise DomainError(
-                f"guard violated: value {val!r}",
+                f"guard violated: value {float(val)!r}",
                 subexpression=spec.guard_expression,
             )
 

@@ -10,14 +10,16 @@ double-size Hessian while keeping a single expression pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import dsl
 from .errors import HomogeneityError, InvalidStateError
 
-__all__ = ["TangentPoint", "Jet2", "compute_jet", "compute_jets", "check_homogeneity", "HomogeneityReport"]
+__all__ = ["TangentPoint", "Jet2", "JetBatch", "compute_jet", "compute_jets", "check_homogeneity",
+           "HomogeneityReport"]
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,45 @@ class Jet2:
             "L2": self.L2.tolist(),
             "mixed": self.mixed.tolist(),
         }
+
+
+@dataclass(frozen=True, eq=False)
+class JetBatch(Sequence):
+    """The jets of many points as stacked arrays, one row per point.
+
+    The fields are those of :class:`Jet2` with a leading batch axis, laid
+    out as the expression pass returns them (``mixed`` is a strided view;
+    a contiguous copy would take another matmul kernel and change the
+    last bits of ``mixed @ dx``).  Indexing by an integer yields that
+    point's :class:`Jet2`, by a slice a sub-batch.
+    """
+
+    x: np.ndarray  # (B, n+1)
+    dx: np.ndarray
+    L: np.ndarray  # (B,)
+    dL_dx: np.ndarray
+    p: np.ndarray
+    L2: np.ndarray  # (B, n+1, n+1)
+    mixed: np.ndarray
+
+    @classmethod
+    def of(cls, jet: Jet2) -> "JetBatch":
+        """The batch of one point, sharing ``jet``'s arrays."""
+        return cls(
+            x=jet.x[None], dx=jet.dx[None], L=np.array([jet.L]), dL_dx=jet.dL_dx[None],
+            p=jet.p[None], L2=jet.L2[None], mixed=jet.mixed[None],
+        )
+
+    def __len__(self) -> int:
+        return self.L.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return JetBatch(**{f.name: getattr(self, f.name)[i] for f in fields(self)})
+        return Jet2(
+            x=self.x[i], dx=self.dx[i], L=float(self.L[i]), dL_dx=self.dL_dx[i],
+            p=self.p[i], L2=self.L2[i], mixed=self.mixed[i],
+        )
 
 
 def _jet_arrays(spec: dsl.MetricSpec, xs: np.ndarray, dxs: np.ndarray) -> dict:
@@ -134,29 +175,25 @@ def compute_jets(
     dxs: np.ndarray,
     validate: bool = True,
     rtol: float = 1e-9,
-) -> list[Jet2]:
-    """Batched form of :func:`compute_jet`; one expression pass for all points."""
+) -> JetBatch:
+    """Batched form of :func:`compute_jet`; one expression pass for all points.
+
+    The :class:`JetBatch` yields each point's :class:`Jet2` and holds the
+    stacked arrays that the batched structural layer reads.
+    """
     if validate and not (np.isfinite(rtol) and rtol >= 0):
         raise InvalidStateError(f"homogeneity tolerance must be finite and >= 0, got {rtol!r}")
     xs = np.asarray(xs, dtype=float)
     dxs = np.asarray(dxs, dtype=float)
     for i in range(xs.shape[0]):
         dsl.require_admissible(spec, xs[i], dxs[i])
-    arrs = _jet_arrays(spec, xs, dxs)
-    jets = []
-    for i in range(xs.shape[0]):
-        if validate:
+    jets = JetBatch(x=xs, dx=dxs, **_jet_arrays(spec, xs, dxs))
+    if validate:
+        for i in range(xs.shape[0]):
             _validate_jet(
-                arrs["L"][i], arrs["p"][i], arrs["L2"][i], arrs["dL_dx"][i],
-                arrs["mixed"][i], dxs[i], rtol, f"at point {i}",
+                jets.L[i], jets.p[i], jets.L2[i], jets.dL_dx[i],
+                jets.mixed[i], dxs[i], rtol, f"at point {i}",
             )
-        jets.append(
-            Jet2(
-                x=xs[i], dx=dxs[i], L=float(arrs["L"][i]),
-                dL_dx=arrs["dL_dx"][i], p=arrs["p"][i],
-                L2=arrs["L2"][i], mixed=arrs["mixed"][i],
-            )
-        )
     return jets
 
 

@@ -125,3 +125,46 @@ def fd_mixed_block(spec, xs, dxs, h_rel=1e-4):
             d2 = cross(0.5 * hd, 0.5 * hx)
             out[:, i, r] = (4 * d2 - d1) / 3
     return out
+
+
+def hand_jet(L2, dx, p, L=1.0):
+    """A :class:`Jet2` built by hand, with zero first x-derivatives."""
+    from finslerconn.jet import Jet2
+
+    n1 = len(dx)
+    return Jet2(
+        x=np.zeros(n1), dx=np.asarray(dx, dtype=float), L=L, dL_dx=np.zeros(n1),
+        p=np.asarray(p, dtype=float), L2=np.asarray(L2, dtype=float),
+        mixed=np.zeros((n1, n1)),
+    )
+
+
+def stack_jets(jets):
+    """The :class:`JetBatch` of the given jets (copies of their arrays)."""
+    from finslerconn.jet import JetBatch
+
+    names = ("x", "dx", "L", "dL_dx", "p", "L2", "mixed")
+    return JetBatch(**{name: np.array([getattr(j, name) for j in jets]) for name in names})
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# hand-built jets on the frozen branch of RANK1_BASE (rank 1, regular
+# block (0,), flow index 2, degenerate index 1)
+E = np.eye(3)
+RANK1_JETS = {
+    "good": hand_jet(np.diag([2.0, 0.0, 0.0]), E[2], E[2]),
+    # null space spanned by e0 and e2: axis 1 has no component
+    "no-null": hand_jet(np.diag([2.0, 3.0, 0.0]), E[2], E[2]),
+    # the regular block L2[0, 0] vanishes
+    "singular": hand_jet(np.diag([0.0, 0.0, 5.0]), E[2], E[2]),
+    # both of the above
+    "both": hand_jet(np.diag([0.0, 3.0, 0.0]), E[2], E[2]),
+    "vanishing": hand_jet(np.diag([2.0, 0.0, 0.0]), E[2], E[2], L=0.0),
+    # ell_a = e0 - (p0 / L) dx = 0
+    "frame": hand_jet(np.diag([2.0, 0.0, 0.0]), E[0], E[0]),
+}

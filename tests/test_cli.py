@@ -46,9 +46,89 @@ def test_inspect_euclidean_zero_spray(capsys):
 
 
 def test_inspect_missing_dx_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["inspect", "--metric", "euclidean-2", "--x", "0,0"])
-    assert err.value.code == 2
+    code, out, err = run_cli(capsys, "inspect", "--metric", "euclidean-2", "--x", "0,0")
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidStateError"
+    assert "--dx" in payload["message"]
+
+
+def test_inspect_missing_metric_is_one_json_line(capsys):
+    code, out, err = run_cli(capsys, "inspect", "--x", "1.2,0.3", "--dx", "0.6,0.5")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidStateError"
+    assert "--metric" in payload["message"]
+
+
+def test_negative_vector_value_after_option(capsys):
+    args = ("inspect", "--metric", "quartic-root", "--dx", "0.6,0.5")
+    code, out, _ = run_cli(capsys, *args, "--x", "-0.5,0.3")
+    code_eq, out_eq, _ = run_cli(capsys, *args, "--x=-0.5,0.3")
+    assert code == code_eq == 0
+    assert out == out_eq
+
+
+def test_guard_violation_prints_a_plain_float(capsys):
+    code, _, err = run_cli(
+        capsys, "inspect", "--metric", "riemann-2d-curved", "--x=-0.2,0.3", "--dx", "0.6,0.5"
+    )
+    assert code == 2
+    assert json.loads(err)["message"] == "guard violated: value -0.20866933079506123"
+
+
+def test_inspect_does_its_base_point_work_once(monkeypatch, capsys):
+    import finslerconn.cli as cli_mod
+    import finslerconn.connection as conn_mod
+
+    x, dx = [1.2, 0.3], [0.6, 0.5]
+    calls = {"jet": 0, "analyze": 0, "N": 0}
+
+    def count(module, name, key, points):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += sum(
+                np.array_equal(px, x) and np.array_equal(pdx, dx)
+                for px, pdx in points(*args, **kwargs)
+            )
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    count(cli_mod, "compute_jet", "jet", lambda spec, pt, **_: [(pt.x, pt.dx)])
+    count(conn_mod, "compute_jets", "jet", lambda spec, xs, dxs, **_: zip(xs, dxs))
+    for module in (cli_mod, conn_mod):
+        count(module, "analyze", "analyze", lambda jet, **_: [(jet.x, jet.dx)])
+        count(module, "coefficients_N", "N", lambda spec, pt, **_: [(pt.x, pt.dx)])
+    code, _, _ = run_cli(
+        capsys, "inspect", "--metric", "riemann-2d-curved", "--x", "1.2,0.3", "--dx", "0.6,0.5",
+        "--curvature",
+    )
+    assert code == 0
+    assert calls == {"jet": 1, "analyze": 1, "N": 1}
+
+
+def test_halting_run_writes_no_numpy_warning(tmp_path, capsys):
+    import warnings
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        {"dimension": 3, "expression": "sqrt(d0^2 + d1^2 + d2^2) + x0*d1"}
+    ))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(
+            capsys, "geodesic", "--metric", str(path), "--x=0.789,0.839,0.253",
+            "--dx=-0.249,0.949,0.278", "--steps", "30", "--h", "0.02",
+        )
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    for line in err.splitlines():
+        json.loads(line)
 
 
 def test_inspect_bad_point_exit_2(capsys):

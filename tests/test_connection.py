@@ -1,22 +1,31 @@
 """Spray, connection coefficients, frame identities and curvature."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from conftest import sample_points
+from conftest import RANK1_JETS, hand_jet, same_bits, sample_points, stack_jets
 from finslerconn.catalog import (
     catalog,
     catalog_entry,
     christoffel_oracle,
     riemann_tensor,
 )
+from finslerconn.autoparallel import C_FD_SCALE
 from finslerconn.connection import (
+    FD_STEP,
+    _solve_G_batch,
+    _stencil,
     build_ell_basis,
     coefficients_N,
+    constraint_residuals,
     curvature_torsion,
     solve_G,
 )
-from finslerconn.degeneracy import _with_a_set, analyze
+from finslerconn.degeneracy import _with_a_set, analyze, analyze_frozen
+from finslerconn.dsl import metric_from_json
 from finslerconn.errors import DegeneracyError
 from finslerconn.jet import TangentPoint, compute_jet, compute_jets
 
@@ -255,3 +264,90 @@ def test_berwald_coefficients_symmetric():
     cd = curvature_torsion(entry.spec, TangentPoint([1.2, 0.1], [0.7, 0.4]))
     asym = np.max(np.abs(cd.N2 - cd.N2.transpose(0, 2, 1)))
     assert asym <= 1e-6 * max(np.max(np.abs(cd.N2)), 1e-30)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except DegeneracyError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_stacked_batches_match_single_points_bit_for_bit(entry):
+    # the batch shapes of _c_gradients (1 + 4 n1 points) and of the
+    # Richardson stencils (4 n1), against each point as a batch of one
+    n1 = entry.spec.dimension
+    eye = np.eye(n1)
+    xs, dxs = sample_points(entry, 4, seed=47)
+    compared = 0
+    for x, dx in zip(xs, dxs):
+        base = analyze(compute_jet(entry.spec, x=x, dx=dx, validate=False))
+        hx = C_FD_SCALE * (1.0 + np.abs(x))
+        hd = C_FD_SCALE * float(np.linalg.norm(dx))
+        gradients = (
+            [x] + [x + s * hx[i] * eye[i] for i in range(n1) for s in (1, -1)] + [x] * (2 * n1),
+            [dx] * (1 + 2 * n1) + [dx + s * hd * eye[i] for i in range(n1) for s in (1, -1)],
+        )
+        h = FD_STEP * float(np.linalg.norm(dx))
+        stencil = ([x] * (4 * n1), [p for e in eye for p in _stencil(dx, h, e)])
+        for bx, bdx in (gradients, stencil):
+            jets = compute_jets(entry.spec, np.array(bx), np.array(bdx), validate=False)
+            degs = _outcome(lambda: analyze_frozen(jets, base))
+            singles = _outcome(lambda: [analyze_frozen(jet, base) for jet in jets])
+            G = _outcome(lambda: _solve_G_batch(jets, base))
+            G_singles = _outcome(lambda: [solve_G(j, analyze_frozen(j, base)).G for j in jets])
+            if isinstance(singles, str):
+                assert degs == singles
+            else:
+                for batched, single in zip(degs, singles, strict=True):
+                    for field in dataclasses.fields(single):
+                        name = field.name
+                        assert same_bits(getattr(batched, name), getattr(single, name)), name
+                C = constraint_residuals(jets, degs)
+                for row, jet, single in zip(C, jets, singles, strict=True):
+                    assert same_bits(row, constraint_residuals(jet, single))
+                compared += 1
+            if isinstance(G_singles, str):
+                assert G == G_singles
+            else:
+                assert same_bits(G, np.array(G_singles))
+    assert compared > 0
+
+
+@pytest.mark.parametrize("names, message", [
+    (("good", "vanishing", "frame"), "metric value vanishes"),
+    (("good", "frame", "vanishing"), "adapted frame is numerically degenerate"),
+    # a point's spray is checked before the next point's structure
+    (("good", "vanishing", "no-null"), "metric value vanishes"),
+    (("good", "no-null", "vanishing"), "coordinate axis 1 has no null-space component"),
+    (("good", "good", "singular"), r"coordinate block \(0,\) became singular"),
+])
+def test_spray_batch_raises_what_the_point_loop_raises_first(names, message):
+    base = analyze(RANK1_JETS["good"])
+    jets = stack_jets([RANK1_JETS[name] for name in names])
+    with pytest.raises(DegeneracyError, match=message) as per_point:
+        for jet in jets:
+            solve_G(jet, analyze_frozen(jet, base))
+    with pytest.raises(DegeneracyError) as batch:
+        _solve_G_batch(jets, base)
+    assert str(batch.value) == str(per_point.value)
+    assert batch.value.detail == per_point.value.detail
+
+
+def test_degenerate_frame_raises():
+    # ell_a = e0 - (p0 / L) dx vanishes when dx = p = e0 and L = 1
+    jet = hand_jet(np.diag([2.0, 0.0, 0.0]), np.eye(3)[0], np.eye(3)[0])
+    with pytest.raises(DegeneracyError, match="adapted frame is numerically degenerate"):
+        build_ell_basis(jet, analyze(jet))
+
+
+def test_coefficients_N_refuses_when_a_stencil_point_raises():
+    # L = |dx| - d0 vanishes on d1 = 0, and the stencil point
+    # dx - (h/2) e1 lands there exactly
+    spec = metric_from_json(json.dumps({"dimension": 2, "expression": "sqrt(d0^2 + d1^2) - d0"}))
+    with pytest.raises(
+        DegeneracyError,
+        match="finite differencing of G failed near a rank transition: metric value vanishes",
+    ):
+        coefficients_N(spec, TangentPoint([0.0, 0.0], [1.0, 5e-5]))

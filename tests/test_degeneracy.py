@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import sample_points
+from conftest import RANK1_JETS, sample_points, stack_jets
 from finslerconn.catalog import catalog, catalog_entry
 from finslerconn.degeneracy import analyze, analyze_frozen, detect_rank_drop
 from finslerconn.errors import DegeneracyError, InvalidStateError
@@ -216,3 +216,31 @@ def test_full_rank_hessian_rejected():
     )
     with pytest.raises(DegeneracyError, match="full rank"):
         analyze(jet)
+
+
+def _rank1_base():
+    base = analyze(RANK1_JETS["good"])
+    assert (base.rank, base.a_indices, base.zero_index, base.I_indices) == (1, (0,), 2, (1,))
+    return base
+
+
+def test_frozen_axis_without_null_component_raises():
+    with pytest.raises(DegeneracyError, match="coordinate axis 1 has no null-space component"):
+        analyze_frozen(RANK1_JETS["no-null"], _rank1_base())
+
+
+@pytest.mark.parametrize("names, message", [
+    (("good", "no-null", "singular"), "coordinate axis 1 has no null-space component"),
+    (("good", "singular", "no-null"), r"coordinate block \(0,\) became singular"),
+    (("good", "good", "both"), "coordinate axis 1 has no null-space component"),
+])
+def test_frozen_batch_raises_what_the_point_loop_raises_first(names, message):
+    base = _rank1_base()
+    jets = stack_jets([RANK1_JETS[name] for name in names])
+    with pytest.raises(DegeneracyError, match=message) as per_point:
+        for jet in jets:
+            analyze_frozen(jet, base)
+    with pytest.raises(DegeneracyError) as batch:
+        analyze_frozen(jets, base)
+    assert str(batch.value) == str(per_point.value)
+    assert batch.value.detail == per_point.value.detail

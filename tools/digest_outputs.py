@@ -41,8 +41,10 @@ TRANSPORT_METRICS = ("potential-system", "quartic-root", "riemann-3d-generic", "
 TRANSPORTS_EACH = 6
 TRANSPORT_STEPS = 30
 # argument lists of cli.main that must fail cleanly; "{config}" is the
-# path of a config file holding CLI_CONFIG
+# path of a config file holding CLI_CONFIG, "{metric}" that of a metric
+# file holding CLI_METRIC
 CLI_CONFIG = '{"bogus_key": 1}'
+CLI_METRIC = '{"dimension": 3, "expression": "sqrt(d0^2 + d1^2 + d2^2) + x0*d1"}'
 CLI_FAILURES = {
     "frenkel-initial-node": ["geodesic", "--metric", "frenkel", "--x", "0,0.1,-0.2,0",
                              "--dx", "1,0.5,0.4,1.19e-5", "--steps", "5", "--h", "0.01"],
@@ -55,6 +57,13 @@ CLI_FAILURES = {
                      "--dx", "0.6,0.5", "--rank-tol", "nan"],
     "h-nan": ["geodesic", "--metric", "riemann-2d-curved", "--x", "1.2,0.3",
               "--dx", "0.6,0.5", "--steps", "3", "--h", "nan"],
+    "guard-violated": ["inspect", "--metric", "riemann-2d-curved", "--x=-0.2,0.3",
+                       "--dx", "0.6,0.5"],
+    "negative-vector-guard": ["inspect", "--metric", "riemann-2d-curved", "--x", "-0.2,0.3",
+                              "--dx", "0.6,0.5"],
+    "missing-metric": ["inspect", "--x", "1.2,0.3", "--dx", "0.6,0.5"],
+    "non-finite-halt": ["geodesic", "--metric", "{metric}", "--x=0.789,0.839,0.253",
+                        "--dx=-0.249,0.949,0.278", "--steps", "30", "--h", "0.02"],
 }
 
 
@@ -120,13 +129,17 @@ def cli_failure_lines(pkg):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
         config.write_text(CLI_CONFIG, encoding="utf-8")
+        metric = Path(tmp) / "metric.json"
+        metric.write_text(CLI_METRIC, encoding="utf-8")
         for name, argv in CLI_FAILURES.items():
+            argv = [a.replace("{config}", str(config)).replace("{metric}", str(metric))
+                    for a in argv]
             out, err = io.StringIO(), io.StringIO()
             try:
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = pkg.cli.main([a.replace("{config}", str(config)) for a in argv])
+                    code = pkg.cli.main(argv)
                 parts = (code, out.getvalue(), err.getvalue())
-            except Exception as exc:  # an escaping exception is an output too
+            except (Exception, SystemExit) as exc:  # an escaping exception is an output too
                 parts = failure(exc)
             yield f"cli/{name}", digest(*parts)
 
