@@ -13,10 +13,11 @@ surfaces where the metric value vanishes; lambda0 = eta*L + omega -
 2*lambda^a p_a is reported afterwards and never divided by.
 
 Consistency rows are the directional derivatives dC_I/dtau, affine in the
-multipliers; their coefficients are built from central finite differences
-of C_I on the frozen structural branch.  Rows that vanish relative to
-their own gradient scale classify the corresponding multiplier as a
-first-class freedom, filled by the gauge's free-multiplier policy.
+multipliers; a stage takes their coefficients (central differences of C_I
+on the frozen structural branch) and its own jet, analysis and C_I from
+one jet batch.  Rows that vanish relative to their own gradient scale
+classify the corresponding multiplier as a first-class freedom, filled by
+the gauge's free-multiplier policy.
 """
 
 from __future__ import annotations
@@ -220,57 +221,66 @@ def _c_gradients(
     x: np.ndarray,
     dx: np.ndarray,
     base: DegeneracyData,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(C, dC/dx, dC/d(dx)) by central differences on ``base``'s branch."""
-    n1 = x.shape[0]
+) -> tuple[Jet2, DegeneracyData, np.ndarray, tuple[np.ndarray, np.ndarray] | None]:
+    """The stage at (x, dx) on ``base``'s branch from one jet batch whose
+    row 0 is (x, dx): that point's jet, DegeneracyData and C, and
+    (dC/dx, dC/d(dx)) by central differences.  On a regular branch the
+    batch is the point alone and the gradients are None."""
     D = base.D
-    if D == 0:
-        return np.zeros(0), np.zeros((0, n1)), np.zeros((0, n1))
-    hx = C_FD_SCALE * (1.0 + np.abs(x))
-    hd = C_FD_SCALE * float(np.linalg.norm(dx))
-    states_x = [x]
-    states_dx = [dx]
-    for i in range(n1):
-        e = np.zeros(n1)
-        e[i] = 1.0
-        states_x += [x + hx[i] * e, x - hx[i] * e]
-        states_dx += [dx, dx]
-    for i in range(n1):
-        e = np.zeros(n1)
-        e[i] = 1.0
-        states_x += [x, x]
-        states_dx += [dx + hd * e, dx - hd * e]
-    jets = compute_jets(spec, np.array(states_x), np.array(states_dx), validate=False)
-    Cs = constraint_residuals(jets, analyze_frozen(jets, base))
-    C0 = Cs[0]
-    gx = np.empty((D, n1))
-    gdx = np.empty((D, n1))
-    for i in range(n1):
-        gx[:, i] = (Cs[1 + 2 * i] - Cs[2 + 2 * i]) / (2.0 * hx[i])
-        off = 1 + 2 * n1
-        gdx[:, i] = (Cs[off + 2 * i] - Cs[off + 2 * i + 1]) / (2.0 * hd)
-    return C0, gx, gdx
+    xs, dxs = x[None], dx[None]
+    if D:
+        n1 = x.shape[0]
+        hx = C_FD_SCALE * (1.0 + np.abs(x))
+        hd = C_FD_SCALE * float(np.linalg.norm(dx))
+        # rows +h e_i, -h e_i for each coordinate i, in x and then in dx
+        signs = np.tile([1.0, -1.0], n1)[:, None]
+        sx = np.repeat(np.diag(hx), 2, axis=0) * signs
+        sdx = np.repeat(hd * np.eye(n1), 2, axis=0) * signs
+        xs = np.vstack([xs, x + sx, np.broadcast_to(x, sdx.shape)])
+        dxs = np.vstack([dxs, np.broadcast_to(dx, sx.shape), dx + sdx])
+    jets = compute_jets(spec, xs, dxs, validate=False)
+    degs = analyze_frozen(jets, base)
+    if not D:
+        return jets[0], degs[0], np.zeros(0), None
+    Cs = constraint_residuals(jets, degs)
+    diff = Cs[1::2] - Cs[2::2]  # (2 n1, D)
+    gx = (diff[:n1] / (2.0 * hx[:, None])).T.copy()
+    gdx = (diff[n1:] / (2.0 * hd)).T.copy()
+    return jets[0], degs[0], Cs[0], (gx, gdx)
 
 
 def _resolve(
     spec: dsl.MetricSpec,
-    jet: Jet2,
-    deg: DegeneracyData,
+    x: np.ndarray,
+    dx: np.ndarray,
     gauge: GaugeChoice,
     tau: float,
     base: DegeneracyData,
+    point: tuple[Jet2, DegeneracyData] | None = None,
 ) -> MultiplierResolution:
-    n1 = jet.dimension
-    x, dx = jet.x, jet.dx
+    """The multipliers at (x, dx) on ``base``'s branch, from row 0 of the
+    :func:`_c_gradients` batch, or from ``point``, the (jet, deg) of
+    (x, dx) when the caller holds them (a regular branch then builds no
+    batch).  Errors come in per-point order: the point's own, its gauge
+    row's, then the first failing stencil row's."""
+    failure = None
+    if point is not None and not base.D:
+        (jet, deg), C = point, np.zeros(0)
+    else:
+        try:
+            jet, deg, C, grads = _c_gradients(spec, x, dx, base)
+        except (DomainError, DegeneracyError) as exc:
+            jet = compute_jet(spec, x=x, dx=dx, validate=False)
+            deg, failure = analyze_frozen(jet, base), exc
+        jet, deg = point or (jet, deg)
     M = moment_map(jet)
     a_idx = np.asarray(deg.a_indices, dtype=int)
     lambda_a = deg.Lab_inv @ M[a_idx] if a_idx.size else np.zeros(0)
     omega = float(dx @ jet.dL_dx)
     two_lam_p = 2.0 * float(lambda_a @ jet.p[a_idx]) if a_idx.size else 0.0
 
-    accel_base = np.zeros(n1)
-    for row, a in enumerate(deg.a_indices):
-        accel_base[a] -= 2.0 * lambda_a[row]
+    accel_base = np.zeros(jet.dimension)
+    accel_base[a_idx] -= 2.0 * lambda_a
 
     D = deg.D
     vs = deg.v  # (D, n1)
@@ -282,14 +292,12 @@ def _resolve(
         if abs(dx[0]) < 1e-300:
             raise InvalidStateError("time gauge requires a nonzero 0-th velocity component")
         row0[0] = dx[0]
-        if D:
-            row0[1:] = vs[:, 0]
+        row0[1:] = vs[:, 0]
         rhs0 = -accel_base[0]
         row0_scale = abs(dx[0]) + (np.max(np.abs(vs[:, 0])) if D else 0.0) + abs(rhs0)
     elif gauge.kind == "arclength":
         row0[0] = float(jet.p @ dx)
-        if D:
-            row0[1:] = vs @ jet.p
+        row0[1:] = vs @ jet.p
         rhs0 = -omega - float(jet.p @ accel_base)
         row0_scale = abs(row0[0]) + abs(rhs0)
     elif gauge.kind == "custom":
@@ -303,11 +311,11 @@ def _resolve(
     else:
         raise ValueError(f"unknown gauge kind {gauge.kind!r}")
 
+    if failure is not None:
+        raise failure
+    rows, rhs, row_scales = np.zeros((D, unknowns)), np.zeros(D), np.zeros(D)
     if D:
-        _, gx, gdx = _c_gradients(spec, x, dx, base)
-        rows = np.zeros((D, unknowns))
-        rhs = np.zeros(D)
-        row_scales = np.zeros(D)
+        gx, gdx = grads
         velnorm = float(np.linalg.norm(dx))
         accnorm = float(np.linalg.norm(accel_base))
         for J in range(D):
@@ -318,10 +326,6 @@ def _resolve(
                 np.linalg.norm(gx[J]) * velnorm
                 + np.linalg.norm(gdx[J]) * (velnorm + accnorm + D)
             )
-    else:
-        rows = np.zeros((0, unknowns))
-        rhs = np.zeros(0)
-        row_scales = np.zeros(0)
 
     keep = [
         J
@@ -369,7 +373,6 @@ def _resolve(
     if D:
         accel = accel + lam_vals @ vs
     lambda0 = eta * jet.L + omega - two_lam_p
-    C = constraint_residuals(jet, deg)
     return MultiplierResolution(
         lambda0=lambda0,
         lambdaI=lam_vals,
@@ -391,18 +394,19 @@ def resolve_multipliers(
     tau: float = 0.0,
     rank_tol: float = 1e-9,
 ) -> MultiplierResolution:
-    """Resolve the gauge and consistency multipliers at one state.
+    """Resolve the gauge and consistency multipliers at one state, on the
+    structural branch ``deg`` (by default ``analyze`` at the state).
 
     The consistency conditions dC_I/dtau = 0 are linear in the multipliers;
     rank-deficient rows mark first-class freedoms (counted in
-    ``gauge_dim_free`` and filled by the gauge policy), an unsolvable
-    system raises :class:`ConsistencyError`.
+    ``gauge_dim_free``, filled by the gauge policy); an unsolvable system
+    raises :class:`ConsistencyError`.
     """
     gauge = gauge or GaugeChoice.time()
     jet = compute_jet(spec, pt=state, validate=False)
     if deg is None:
         deg = analyze(jet, rank_tol=rank_tol)
-    return _resolve(spec, jet, deg, gauge, tau, deg)
+    return _resolve(spec, jet.x, jet.dx, gauge, tau, deg, (jet, deg))
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +464,10 @@ def _project_onto_constraints(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares pullback of (x, dx) onto C = 0 (Gauss-Newton)."""
     for _ in range(iterations):
-        C, gx, gdx = _c_gradients(spec, x, dx, base)
-        if not C.size or np.max(np.abs(C)) == 0.0:
+        _, _, C, grads = _c_gradients(spec, x, dx, base)
+        if np.max(np.abs(C)) == 0.0:
             break
-        J = np.hstack([gx, gdx])
+        J = np.hstack(grads)
         step, *_ = np.linalg.lstsq(J, -C, rcond=None)
         x = x + step[: x.shape[0]]
         dx = dx + step[x.shape[0] :]
@@ -499,10 +503,11 @@ def integrate(
 ) -> Trajectory:
     """Integrate the auto-parallel equation with classical fixed-step RK4.
 
-    Per stage the jet, degeneracy data and multipliers are recomputed on
-    the structural branch of the step's start node.  A new node keeps that
-    branch while its rank holds and is re-analyzed when it changes; structure
-    changes are logged and eigenvector signs re-anchored.  Runtime failures
+    Each stage resolves its multipliers from one jet batch on the
+    structural branch of the step's start node.  A new node keeps that
+    branch while the rank of its frozen analysis holds and is re-analyzed
+    when the rank changes or the block degrades; structure changes are
+    logged and eigenvector signs re-anchored.  Runtime failures
     (leaving the admissible domain, multiplier inconsistency, frame
     degeneration) halt the trajectory and return the completed part with
     ``halt_reason`` set; precondition violations, a failure at the initial
@@ -520,7 +525,6 @@ def integrate(
     dx = np.array(dx0, dtype=float)
     traj = Trajectory(gauge=gauge, h=h, steps_requested=steps, nodes=[], rank_tol=rank_tol)
     try:
-        dsl.require_admissible(spec, x, dx)
         jet = compute_jet(spec, x=x, dx=dx)  # validates homogeneity identities
     except DomainError as exc:
         raise InvalidStateError(f"inadmissible initial state: {exc}") from exc
@@ -545,23 +549,20 @@ def integrate(
     pending_events: list[str] = []
 
     for k in range(steps + 1):
-        stage_states: list[tuple[np.ndarray, np.ndarray]] = []
+        stage_states = [(x, dx)]
 
-        def rates(y, tau_s, res=None):
+        def rates(y, tau_s):
             # stages stay on the branch of the step's start node
             stage_states.append(y)
-            if res is None:
-                jet_s = compute_jet(spec, x=y[0], dx=y[1], validate=False)
-                res = _resolve(spec, jet_s, analyze_frozen(jet_s, deg), gauge, tau_s, deg)
-            return y[1], res.accel
+            return y[1], _resolve(spec, y[0], y[1], gauge, tau_s, deg).accel
 
         try:
-            res1 = _resolve(spec, jet, deg, gauge, tau, deg)
+            res1 = _resolve(spec, x, dx, gauge, tau, deg, (jet, deg))
             traj.nodes.append(_node_from(res1, tau, tuple(pending_events)))
             pending_events = []
             if k == steps:
                 break
-            x_new, dx_new = _rk4(rates, (x, dx), tau, h, rates((x, dx), tau, res1))
+            x_new, dx_new = _rk4(rates, (x, dx), tau, h, (dx, res1.accel))
         except _HALTING_ERRORS as exc:
             if not traj.nodes:
                 raise InvalidStateError(f"initial state cannot be resolved: {exc}") from exc
@@ -574,7 +575,6 @@ def integrate(
             traj.halt_reason = "non-finite state"
             break
         try:
-            dsl.require_admissible(spec, x_new, dx_new)
             jet = compute_jet(spec, x=x_new, dx=dx_new, validate=False)
         except DomainError as exc:
             traj.halt_reason = f"inadmissible: {exc}"
@@ -582,14 +582,12 @@ def integrate(
 
         # same rank: keep the previous index split and eigenvector signs so
         # labels (and any free-multiplier policy keyed on them) stay stable;
-        # analyze afresh on a rank change or if the old block degraded
-        deg_new = None
-        if _rank(np.linalg.svd(jet.L2)[1], rank_tol) == deg.rank:
-            try:
-                deg_new = analyze_frozen(jet, deg)
-            except DegeneracyError:
-                pass
-        if deg_new is None:
+        # analyze afresh when the rank changes or the old block degrades
+        try:
+            deg_new = analyze_frozen(jet, deg)
+        except DegeneracyError:
+            deg_new = None
+        if deg_new is None or _rank(deg_new.sing_values, rank_tol) != deg.rank:
             deg_new = analyze(jet, rank_tol=rank_tol)
         deg_new, flips = _reanchor(deg_new, deg.v_raw)
         pending_events.extend(flips)

@@ -20,7 +20,7 @@ from finslerconn.catalog import (
     oscillator_oracle,
 )
 from finslerconn.dsl import evaluate, parse
-from finslerconn.errors import InvalidStateError
+from finslerconn.errors import DegeneracyError, InvalidStateError
 from finslerconn.jet import TangentPoint
 
 
@@ -94,6 +94,78 @@ def test_frenkel_on_surface_multipliers_all_free():
     assert res.deg.D == 2
     assert res.gauge_dim_free == 2
     np.testing.assert_allclose(res.lambdaI, 0.0)  # zero policy by default
+
+
+@pytest.mark.parametrize("name, x, dx, gauge, error, message", [
+    # L is exactly 0 on the second-class constraint surface
+    ("second-class", [0.0, 0.5, 0.4], [1.0, 0.4, -0.5], GaugeChoice.custom(lambda x, dx: 0.0),
+     DegeneracyError, "custom gauge needs a nonvanishing metric value"),
+    # this Frenkel point analyzes, but its constraint-gradient stencil
+    # straddles the rank transition: a gauge-row error comes first
+    ("frenkel", [0.0, 0.1, -0.2, 0.0], [1.0, 0.5, 0.4, 1.19e-5], GaugeChoice("custom"),
+     InvalidStateError, "custom gauge requires lambda0_fn"),
+    ("frenkel", [0.0, 0.1, -0.2, 0.0], [1.0, 0.5, 0.4, 1.19e-5], GaugeChoice.time(),
+     DegeneracyError, r"coordinate block \(2, 3\) became singular"),
+])
+def test_gauge_row_errors_and_their_order(name, x, dx, gauge, error, message):
+    with pytest.raises(error, match=message):
+        resolve_multipliers(catalog_entry(name).spec, TangentPoint(x, dx), gauge=gauge)
+
+
+def _count_jet_work(monkeypatch):
+    """Per (x, dx): the jets computed and the frozen and fresh analyses run
+    on it through autoparallel's names, keyed by the point's bytes."""
+    counts = {"jet": {}, "frozen": {}, "analyze": {}}
+
+    def count(name, key, points):
+        original = getattr(autoparallel, name)
+
+        def wrapper(*args, **kwargs):
+            for x, dx in points(*args, **kwargs):
+                point = (np.asarray(x, float).tobytes(), np.asarray(dx, float).tobytes())
+                counts[key][point] = counts[key].get(point, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(autoparallel, name, wrapper)
+
+    count("compute_jet", "jet",
+          lambda spec, pt=None, x=None, dx=None, **_: [(x, dx) if pt is None else (pt.x, pt.dx)])
+    count("compute_jets", "jet", lambda spec, xs, dxs, **_: zip(xs, dxs))
+    count("analyze_frozen", "frozen",
+          lambda jets, base: zip(np.atleast_2d(jets.x), np.atleast_2d(jets.dx)))
+    count("analyze", "analyze", lambda jet, **_: [(jet.x, jet.dx)])
+    return counts
+
+
+@pytest.mark.parametrize("name, x0, dx0", [
+    ("second-class", [0.0, 0.8, 0.3], [1.0, 0.3, -0.8]),
+    ("frenkel", [0.0, 0.1, -0.2, 0.0], [1.0, 0.5, 0.4, 0.0]),
+])
+def test_each_stage_does_its_jet_work_once(monkeypatch, name, x0, dx0):
+    counts = _count_jet_work(monkeypatch)
+    # a free multiplier that varies along the curve keeps every stage apart
+    # from the others and from node 1 (on Frenkel's straight line, stages
+    # 2 and 3 are one point, and with a constant one stage 4 is node 1)
+    gauge = GaugeChoice.time(free_policy=lambda tau, x, dx, index: x[1])
+    traj = integrate(catalog_entry(name).spec, x0, dx0, gauge, steps=1, h=0.01)
+    assert traj.completed and traj.nodes[0].D > 0
+    for x, dx in traj._stages[0][1:]:  # stages 2-4; stage 1 is the node
+        point = (x.tobytes(), dx.tobytes())
+        assert (counts["jet"][point], counts["frozen"][point]) == (1, 1)
+
+
+def test_regular_step_does_one_jet_per_node_and_stage(monkeypatch):
+    counts = _count_jet_work(monkeypatch)
+    entry = catalog_entry("riemann-2d-curved")
+    x0, dx0 = np.array([1.2, 0.3]), np.array([0.6, 0.5])
+    steps = 5
+    traj = integrate(entry.spec, x0, dx0 / evaluate(entry.spec, x0, dx0),
+                     GaugeChoice.arclength(), steps=steps, h=1e-2)
+    assert traj.completed and traj.nodes[0].D == 0
+    # initial node, then each step's three later stages and its new node
+    assert sum(counts["jet"].values()) == 1 + 4 * steps
+    assert sum(counts["frozen"].values()) == 4 * steps
+    assert sum(counts["analyze"].values()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,15 @@ through ``benchmark/run.py``'s loader, and the inputs come from
 - the ``verify`` report;
 - 24 transports of a random ``Z0``, 6 each on four regular metrics;
 - the exit code, stdout and stderr of ``finslerconn.cli.main`` on a fixed
-  list of failing inputs (``CLI_FAILURES``).
+  list of failing inputs (``CLI_FAILURES``);
+- three ``integrate`` runs that no benchmark round reaches
+  (``integrate_lines``): a rank transition, a Frenkel curve decaying onto
+  its constraint surface and a custom gauge, with every node field, the
+  events, the halt and the RK4 stage record;
+- ``resolve_multipliers`` in the time gauge at 3 sampled points of each
+  catalog entry (``RESOLVE_POINTS``), with every field of the
+  ``MultiplierResolution`` (its jet and ``DegeneracyData`` included), or
+  the error raised.
 
 Run it on two checkouts and ``diff`` the outputs: no line may differ.
 """
@@ -21,6 +29,7 @@ Run it on two checkouts and ``diff`` the outputs: no line may differ.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -40,6 +49,7 @@ ROUNDS = range(4)
 TRANSPORT_METRICS = ("potential-system", "quartic-root", "riemann-3d-generic", "riemann-2d-curved")
 TRANSPORTS_EACH = 6
 TRANSPORT_STEPS = 30
+RESOLVE_POINTS = 3
 # argument lists of cli.main that must fail cleanly; "{config}" is the
 # path of a config file holding CLI_CONFIG, "{metric}" that of a metric
 # file holding CLI_METRIC
@@ -80,6 +90,18 @@ def digest(*parts) -> str:
 
 def failure(exc: Exception) -> tuple:
     return ("raised", type(exc).__name__, str(exc))
+
+
+def fields_parts(obj) -> tuple:
+    """Every field of a dataclass instance, nested dataclasses flattened."""
+    parts = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            parts.extend(fields_parts(value))
+        else:
+            parts += [f.name, value]
+    return tuple(parts)
 
 
 def transport_parts(transport) -> tuple:
@@ -125,6 +147,48 @@ def random_transport_lines(pkg):
             yield f"transport/{metric}/{k}", digest(*parts)
 
 
+def integrate_lines(pkg):
+    ap = pkg.autoparallel
+    entries = {e.name: e for e in pkg.catalog.catalog()}
+    rank_drop = pkg.dsl.parse("sqrt(d0^2 + d1^2 + x0^2*d2^2)", dimension=3)
+    riemann = entries["riemann-2d-curved"].spec
+    x0, dx0 = np.array([1.2, 0.3]), np.array([0.6, 0.5])
+    dx0 = dx0 / pkg.dsl.evaluate(riemann, x0, dx0)
+    runs = {
+        "rank-transition": lambda: ap.integrate(
+            rank_drop, [0.1, 0.0, 0.0], [-1.0, 0.2, 0.3], ap.GaugeChoice.time(),
+            steps=20, h=0.01, rank_tol=1e-2),
+        "frenkel-decay": lambda: ap.integrate(
+            entries["frenkel"].spec, [0.0, 0.1, -0.2, 0.0], [1.0, 0.5, 0.4, 1e-4],
+            ap.GaugeChoice.time(), steps=40, h=1e-2),
+        "custom-gauge": lambda: ap.integrate(
+            riemann, x0, dx0, ap.GaugeChoice.custom(lambda x, dx: 0.0), steps=40, h=1e-2),
+    }
+    for name, run_it in runs.items():
+        try:
+            traj = run_it()
+            parts = (traj.halt_reason, traj.events, traj.projected_steps,
+                     np.array(traj._stages), *(p for n in traj.nodes for p in fields_parts(n)))
+        except Exception as exc:  # a failing run is an output too
+            parts = failure(exc)
+        yield f"integrate/{name}", digest(*parts)
+
+
+def resolve_lines(pkg):
+    ap = pkg.autoparallel
+    for m, entry in enumerate(pkg.catalog.catalog()):
+        rng = np.random.default_rng([303, m])
+        xs, dxs = entry.sampler.sample(rng, RESOLVE_POINTS, entry.spec)
+        for k in range(RESOLVE_POINTS):
+            try:
+                res = ap.resolve_multipliers(entry.spec, pkg.jet.TangentPoint(xs[k], dxs[k]),
+                                             gauge=ap.GaugeChoice.time())
+                parts = fields_parts(res)
+            except Exception as exc:  # a failing resolution is an output too
+                parts = failure(exc)
+            yield f"resolve/{entry.name}/{k}", digest(*parts)
+
+
 def cli_failure_lines(pkg):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
@@ -150,6 +214,8 @@ def main() -> int:
     lines.append(("verify", digest(pkg.cli.render_report(pkg.cli.run_verification()))))
     lines.extend(random_transport_lines(pkg))
     lines.extend(cli_failure_lines(pkg))
+    lines.extend(integrate_lines(pkg))
+    lines.extend(resolve_lines(pkg))
     for name, value in lines:
         print(name, value)
     return 0
