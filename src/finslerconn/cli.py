@@ -9,7 +9,8 @@ Commands::
 
 Exit codes: 0 success, 1 verification failure, 2 input/validation error,
 3 runtime halt (partial trajectory still written).  Structured errors go
-to stderr as JSON.  Output is byte-identical for identical inputs; set
+to stderr as JSON; every JSON document is strict (a non-finite number is
+written as null).  Output is byte-identical for identical inputs; set
 FINSLER_LOG=debug|info for diagnostics on stderr.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -49,14 +51,21 @@ def _setup_logging():
         logging.basicConfig(stream=sys.stderr, level=levels[level_name])
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, in lists too, as None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _error_json(exc: Exception) -> str:
     detail = getattr(exc, "detail", {}) or {}
-    safe_detail = {}
-    for k, v in detail.items():
-        if isinstance(v, (str, int, float, bool, type(None))):
-            safe_detail[k] = v
-        elif isinstance(v, (list, tuple)):
-            safe_detail[k] = list(v)
+    safe_detail = {
+        k: _finite_or_null(v) for k, v in detail.items()
+        if isinstance(v, (str, int, float, bool, type(None), list, tuple))
+    }
     return json.dumps(
         {"error": type(exc).__name__, "message": str(exc), "detail": safe_detail}
     )

@@ -32,7 +32,7 @@ from .degeneracy import (
     _with_a_set,
     analyze,
 )
-from .errors import DegeneracyError
+from .errors import DegeneracyError, DomainError
 from .jet import Jet2, JetBatch, TangentPoint, compute_jets
 
 __all__ = [
@@ -276,24 +276,110 @@ def _richardson(values, h: float):
     return (4.0 * ((fp2 - fm2) / h) - (fp - fm) / (2.0 * h)) / 3.0
 
 
-def _solve_G_batch(jets: JetBatch, base: DegeneracyData) -> np.ndarray:
+def _solve_G_batch(
+    jets: JetBatch, base: DegeneracyData, anchors: np.ndarray | None = None
+) -> np.ndarray:
     """Spray at the points of ``jets`` on ``base``'s branch, one row each.
 
     The structure and the spray each take one stacked pass.  The batch
     raises what a per-point loop of :func:`analyze_frozen` and
     :func:`solve_G` raises first: such a loop checks each point's spray
     before the next point's structure, so the points before the first
-    structural failure get their spray checked first.
+    structural failure get their spray checked first.  ``anchors``, one
+    ``v_raw`` per point, fix the null-vector signs (default: ``base``'s
+    for every point).
     """
     degs, error = _assemble(
         jets, np.linalg.svd(jets.L2), base.rank, base.a_indices,
-        (base.zero_index, base.I_indices), anchors=base.v_raw,
+        (base.zero_index, base.I_indices), anchors=base.v_raw if anchors is None else anchors,
     )
     if degs:
         G = _spray(jets[: len(degs)], degs, np.zeros((len(degs), base.D)))["G"]
     if error is not None:
         raise error
     return G
+
+
+def _richardson_N(
+    spec: dsl.MetricSpec,
+    xs: np.ndarray,
+    dxs: np.ndarray,
+    rank_tol: float,
+    jets=None,
+    degs=None,
+) -> list[ConnectionData]:
+    """:func:`coefficients_N` at each point of a Richardson group.
+
+    One jet pass holds the points followed by each point's 4 n1
+    dx-stencil.  Each point gets its :func:`analyze` and its spray, and
+    the stencils of all points take one :func:`_solve_G_batch`, each row
+    with its point's sign anchors; that needs every point on one branch
+    (rank, regular block and index split).  When they are not, or a step
+    raises, each point is redone alone and in order (its own jet pass,
+    analysis and spray, then a pass and a spray for its stencil), so the
+    group raises what a loop of :func:`coefficients_N` raises first.
+    ``jets`` (and ``degs``) hold the jet (and analysis) of a single point
+    that the caller already has; that point is alone from the start.
+    """
+    P, n1 = xs.shape
+    steps = [FD_STEP * float(np.linalg.norm(dx)) for dx in dxs]
+    rows = 4 * n1
+    stencil_xs = np.repeat(xs, rows, axis=0)
+    stencil_dxs = np.concatenate(
+        [[p for e in np.eye(n1) for p in _stencil(dx, h, e)] for dx, h in zip(dxs, steps)]
+    )
+    alone = jets is not None and P == 1
+    G_vals = None
+    try:
+        stencil_jets = None
+        if jets is None:
+            batch = compute_jets(spec, np.concatenate([xs, stencil_xs]),
+                                 np.concatenate([dxs, stencil_dxs]), validate=False)
+            jets, stencil_jets = batch[:P], batch[P:]
+        ds = [analyze(jet, rank_tol=rank_tol) for jet in jets] if degs is None else degs
+        bases = [solve_G(jet, deg) for jet, deg in zip(jets, ds)]
+        if stencil_jets is None:
+            stencil_jets = compute_jets(spec, stencil_xs, stencil_dxs, validate=False)
+        if len({(d.rank, d.a_indices, d.zero_index, d.I_indices) for d in ds}) == 1:
+            anchors = np.repeat(np.array([d.v_raw for d in ds]), rows, axis=0)
+            try:
+                G_vals = _solve_G_batch(stencil_jets, ds[0], anchors).reshape(P, rows, n1)
+            except DegeneracyError as exc:
+                raise DegeneracyError(
+                    f"finite differencing of G failed near a rank transition: {exc}",
+                    gap_ratio=ds[0].gap_ratio, sing_values=ds[0].sing_values.tolist(),
+                ) from exc
+    except (DomainError, DegeneracyError):
+        if alone:
+            raise
+    if G_vals is None:
+        return [
+            _richardson_N(spec, xs[k:k + 1], dxs[k:k + 1], rank_tol,
+                          jets=compute_jets(spec, xs[k:k + 1], dxs[k:k + 1], validate=False),
+                          degs=None if degs is None else degs[k:k + 1])[0]
+            for k in range(P)
+        ]
+
+    out = []
+    for k, (base, deg, dx, h) in enumerate(zip(bases, ds, dxs, steps)):
+        N = np.empty((n1, n1))
+        for alpha in range(n1):
+            N[:, alpha] = _richardson(G_vals[k, 4 * alpha : 4 * alpha + 4], h)
+
+        # Euler check for the degree-2 spray: N.dx = 2G.  A large defect
+        # means the stencil straddled a pole or branch of the frozen
+        # structure (rank transition nearby), where differencing is
+        # meaningless.
+        defect = float(np.linalg.norm(N @ dx - 2.0 * base.G))
+        scale = max(float(np.linalg.norm(2.0 * base.G)), float(np.linalg.norm(N)) * float(np.linalg.norm(dx)))
+        if defect > 1e-6 * scale + 1e-300:
+            raise DegeneracyError(
+                f"finite differencing of G failed near a rank transition: "
+                f"N.dx = 2G defect {defect:.3e} at scale {scale:.3e}",
+                gap_ratio=deg.gap_ratio, sing_values=deg.sing_values.tolist(),
+            )
+        out.append(replace(base, N=N, fd_steps={"dx_step": h, "richardson": True}))
+    return out
 
 
 def coefficients_N(
@@ -312,44 +398,14 @@ def coefficients_N(
     (about 1e-8 relative).  Raises when the numerical rank changes inside
     the stencil.  ``jet`` and ``deg``, the jet at ``pt`` and its
     :func:`analyze` at ``rank_tol``, are computed unless the caller
-    passes them.
+    passes them.  The point and its dx-stencil take one jet pass (the
+    stencil alone when ``jet`` is passed).
     """
-    if jet is None:
-        jet = compute_jets(spec, pt.x[None, :], pt.dx[None, :], validate=False)[0]
-    if deg is None:
-        deg = analyze(jet, rank_tol=rank_tol)
-    base = solve_G(jet, deg)
-
-    n1 = spec.dimension
-    h = FD_STEP * float(np.linalg.norm(pt.dx))
-    stencil = [p for e in np.eye(n1) for p in _stencil(pt.dx, h, e)]
-    jets = compute_jets(
-        spec, np.broadcast_to(pt.x, (len(stencil), n1)), np.array(stencil), validate=False
-    )
-    try:
-        G_vals = _solve_G_batch(jets, deg)
-    except DegeneracyError as exc:
-        raise DegeneracyError(
-            f"finite differencing of G failed near a rank transition: {exc}",
-            gap_ratio=deg.gap_ratio, sing_values=deg.sing_values.tolist(),
-        ) from exc
-
-    N = np.empty((n1, n1))
-    for alpha in range(n1):
-        N[:, alpha] = _richardson(G_vals[4 * alpha : 4 * alpha + 4], h)
-
-    # Euler check for the degree-2 spray: N.dx = 2G.  A large defect means
-    # the stencil straddled a pole or branch of the frozen structure (rank
-    # transition nearby), where differencing is meaningless.
-    defect = float(np.linalg.norm(N @ pt.dx - 2.0 * base.G))
-    scale = max(float(np.linalg.norm(2.0 * base.G)), float(np.linalg.norm(N)) * float(np.linalg.norm(pt.dx)))
-    if defect > 1e-6 * scale + 1e-300:
-        raise DegeneracyError(
-            f"finite differencing of G failed near a rank transition: "
-            f"N.dx = 2G defect {defect:.3e} at scale {scale:.3e}",
-            gap_ratio=deg.gap_ratio, sing_values=deg.sing_values.tolist(),
-        )
-    return replace(base, N=N, fd_steps={"dx_step": h, "richardson": True})
+    return _richardson_N(
+        spec, pt.x[None, :], pt.dx[None, :], rank_tol,
+        jets=None if jet is None else [jet],
+        degs=None if deg is None else [deg],
+    )[0]
 
 
 def curvature_torsion(
@@ -364,26 +420,29 @@ def curvature_torsion(
     quadratic N2.N terms and is antisymmetrized exactly in (beta, gamma);
     N2 is reported raw so its symmetry is a meaningful check.  ``N``, the
     :func:`coefficients_N` at ``pt``, is computed unless the caller passes
-    it.
+    it.  Each derivative direction is one Richardson group: its 4 stencil
+    points and their dx-stencils take one jet pass, so a curvature costs
+    2 n1 passes beyond ``N``.  The groups run in the order below and
+    raise what the first failing :func:`coefficients_N` would raise.
     """
     n1 = spec.dimension
     x, dx = pt.x, pt.dx
 
-    def N_at(x_val: np.ndarray, dx_val: np.ndarray) -> np.ndarray:
-        return coefficients_N(spec, TangentPoint(x_val, dx_val), rank_tol=rank_tol).N
+    def group_N(xs, dxs) -> list[np.ndarray]:
+        return [c.N for c in _richardson_N(spec, np.array(xs), np.array(dxs), rank_tol)]
 
-    N0 = N_at(x, dx) if N is None else N
+    N0 = coefficients_N(spec, pt, rank_tol=rank_tol).N if N is None else N
 
     # dN/dx by Richardson central differences; stencil must stay admissible
     hx = FD_STEP * (1.0 + np.abs(x))
     dN_dx = np.empty((n1, n1, n1))  # [beta, mu, alpha]
     for b, e in enumerate(np.eye(n1)):
-        dN_dx[b] = _richardson([N_at(xs, dx) for xs in _stencil(x, hx[b], e)], hx[b])
+        dN_dx[b] = _richardson(group_N(_stencil(x, hx[b], e), [dx] * 4), hx[b])
 
     hd = FD_STEP * float(np.linalg.norm(dx))
     N2 = np.empty((n1, n1, n1))  # [mu, alpha, beta]
     for a, e in enumerate(np.eye(n1)):
-        N2[:, a, :] = _richardson([N_at(x, ds) for ds in _stencil(dx, hd, e)], hd)
+        N2[:, a, :] = _richardson(group_N([x] * 4, _stencil(dx, hd, e)), hd)
 
     # A[mu, beta, gamma] = dN[mu,gamma]/dx[beta] + N2[mu,alpha,beta] N[alpha,gamma]
     A = dN_dx.transpose(1, 0, 2) + np.einsum("mab,ag->mbg", N2, N0)

@@ -128,8 +128,9 @@ def null_vectors(
     ``p_residuals`` (|p.v|/|p| after the shift) with a leading batch
     axis, and one :func:`_first_failure` check per I axis: the axis has
     no null-space component.  ``Vt`` holds the right singular vectors of
-    ``jets.L2``; rows of ``anchors`` fix the signs, otherwise they are
-    deterministic.
+    ``jets.L2``; ``anchors`` fix the signs, one ``(len(I_indices), n+1)``
+    set for every point or one such set per point; without them the signs
+    are deterministic.
     """
     B, n1 = jets.dx.shape
     nI = len(I_indices)
@@ -146,7 +147,7 @@ def null_vectors(
     missing = nrm < 1e-8
     v /= np.where(missing, 1.0, nrm)[:, None]
     if anchors is not None:
-        flip = _dot(v, np.tile(anchors, (B, 1))) < 0
+        flip = _dot(v, np.broadcast_to(anchors, (B, nI, n1)).reshape(B * nI, n1)) < 0
     else:
         # the sign of the first component that is not negligible
         big = np.abs(v) > 1e-9 * _norm(v)[:, None]

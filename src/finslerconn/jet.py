@@ -169,6 +169,25 @@ def _validate_jet(L, p, L2, dL_dx, mixed, dx, rtol: float, where: str):
         )
 
 
+def _require_admissible(spec: dsl.MetricSpec, xs: np.ndarray, dxs: np.ndarray):
+    """:func:`dsl.require_admissible` at every point, with one guard
+    evaluation for the whole batch (:func:`dsl.check_guard`).
+
+    The batch only locates the first inadmissible point, which is then
+    checked on its own, so the error (and the guard value in its message)
+    is the one a per-point loop raises.  A batch whose guard evaluation
+    itself fails, or whose shape is off, is checked point by point, and
+    so is a single point, where the batch's fixed cost does not pay.
+    """
+    first = 0
+    if xs.ndim == 2 and len(xs) > 1 and xs.shape == dxs.shape and xs.shape[1] == spec.dimension:
+        with np.errstate(all="ignore"):
+            bad = ~dsl.check_guard(spec, xs, dxs)
+        first = int(np.argmax(bad)) if bad.any() else len(xs)
+    for x, dx in zip(xs[first:], dxs[first:]):
+        dsl.require_admissible(spec, x, dx)
+
+
 def compute_jets(
     spec: dsl.MetricSpec,
     xs: np.ndarray,
@@ -185,8 +204,7 @@ def compute_jets(
         raise InvalidStateError(f"homogeneity tolerance must be finite and >= 0, got {rtol!r}")
     xs = np.asarray(xs, dtype=float)
     dxs = np.asarray(dxs, dtype=float)
-    for i in range(xs.shape[0]):
-        dsl.require_admissible(spec, xs[i], dxs[i])
+    _require_admissible(spec, xs, dxs)
     jets = JetBatch(x=xs, dx=dxs, **_jet_arrays(spec, xs, dxs))
     if validate:
         for i in range(xs.shape[0]):

@@ -2,10 +2,15 @@
 
 Floats are emitted with 17 significant digits (lossless for doubles), so
 identical runs produce byte-identical documents and regression diffs stay
-exact.  No wall-clock or RNG state ever enters an output.
+exact.  No wall-clock or RNG state ever enters an output.  JSON documents
+are strict: a non-finite float is written as ``null`` and a control
+character inside a string as ``\\uXXXX``.
 """
 
 from __future__ import annotations
+
+import math
+import re
 
 import numpy as np
 
@@ -20,6 +25,9 @@ def fmt(value) -> str:
     return "%.17g" % float(value)
 
 
+_CONTROL = re.compile(r"[\x00-\x1f]")
+
+
 def to_json_text(obj, indent: int = 0) -> str:
     """Render JSON with %.17g floats; dict order is insertion order."""
     pad = "  " * indent
@@ -27,13 +35,14 @@ def to_json_text(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        text = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return '"' + _CONTROL.sub(lambda m: "\\u%04x" % ord(m.group()), text) + '"'
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt(obj)
+        return fmt(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, np.ndarray):
         return to_json_text(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):

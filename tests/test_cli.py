@@ -80,6 +80,36 @@ def test_guard_violation_prints_a_plain_float(capsys):
     assert json.loads(err)["message"] == "guard violated: value -0.20866933079506123"
 
 
+def _strict_loads(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_infinite_error_detail_is_written_as_null(capsys):
+    # rank 0, so the wrapped stencil error carries gap_ratio = inf; the
+    # stencil point dx - (h/2) e0 lands on L = d0 + d2 = 0
+    code, out, err = run_cli(
+        capsys, "inspect", "--metric", "second-class", "--x", "0,1,0",
+        "--dx", "5.0000000062499995e-05,1,0",
+    )
+    assert code == 2 and out == ""
+    payload = _strict_loads(err)
+    assert payload["detail"] == {"gap_ratio": None, "sing_values": [0.0, 0.0, 0.0]}
+
+
+def test_json_text_is_strict():
+    from finslerconn.serialize import to_json_text
+
+    doc = {"nan": float("nan"), "inf": [np.inf, -np.inf, 1.5], "text": 'a\nb\t"c"\x01\\'}
+    text = to_json_text(doc)
+    # json.loads refuses raw control characters inside strings by default
+    assert _strict_loads(text) == {"nan": None, "inf": [None, None, 1.5],
+                                   "text": 'a\nb\t"c"\x01\\'}
+    assert '"a\\u000ab\\u0009\\"c\\"\\u0001\\\\"' in text
+
+
 def test_inspect_does_its_base_point_work_once(monkeypatch, capsys):
     import finslerconn.cli as cli_mod
     import finslerconn.connection as conn_mod

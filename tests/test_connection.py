@@ -16,6 +16,7 @@ from finslerconn.catalog import (
 from finslerconn.autoparallel import C_FD_SCALE
 from finslerconn.connection import (
     FD_STEP,
+    _richardson_N,
     _solve_G_batch,
     _stencil,
     build_ell_basis,
@@ -25,8 +26,8 @@ from finslerconn.connection import (
     solve_G,
 )
 from finslerconn.degeneracy import _with_a_set, analyze, analyze_frozen
-from finslerconn.dsl import metric_from_json
-from finslerconn.errors import DegeneracyError
+from finslerconn.dsl import metric_from_json, parse
+from finslerconn.errors import DegeneracyError, DomainError
 from finslerconn.jet import TangentPoint, compute_jet, compute_jets
 
 
@@ -264,6 +265,99 @@ def test_berwald_coefficients_symmetric():
     cd = curvature_torsion(entry.spec, TangentPoint([1.2, 0.1], [0.7, 0.4]))
     asym = np.max(np.abs(cd.N2 - cd.N2.transpose(0, 2, 1)))
     assert asym <= 1e-6 * max(np.max(np.abs(cd.N2)), 1e-30)
+
+
+@pytest.mark.parametrize("name, dx, error, message, detail", [
+    ("frenkel", (1.0, 0.3, 0.8, 5e-4), DegeneracyError,
+     "finite differencing of G failed near a rank transition: "
+     "N.dx = 2G defect 6.520e-01 at scale 4.821e+05",
+     {"gap_ratio": 137839491849862.73, "sing_values": [
+         1.6000012083573303, 5.566587930111566e-07, 4.0384565086577614e-21,
+         2.8436649147105924e-23]}),
+    ("potential-system", (1.95e-4, 0.6, 0.8, 0.5), DomainError,
+     "guard violated: value -2.8606799760055345e-05", {"subexpression": "d0"}),
+])
+def test_curvature_refusals_keep_their_bytes(name, dx, error, message, detail):
+    spec = catalog_entry(name).spec
+    pt = TangentPoint([0.2, -0.4, 0.3, 0.5], dx)
+    N = coefficients_N(spec, pt).N
+    with pytest.raises(error) as raised:
+        curvature_torsion(spec, pt, N=N)
+    assert str(raised.value) == message
+    assert raised.value.detail == detail
+
+
+def test_curvature_group_raises_its_first_points_error():
+    # point 0 of the dN/dx0 group fails at its stencil spray (L vanishes
+    # on d1 = 0), points 1 and 3 break the guard: the group's jet pass
+    # raises the guard, and the point-by-point redo finds point 0's error
+    spec = parse("sqrt(d0^2 + d1^2) - d0", dimension=2, guard="x0 + 5e-5")
+    x, dx = np.array([0.0, 0.0]), np.array([1.0, 5e-5])
+    with pytest.raises(DegeneracyError) as first:
+        coefficients_N(spec, TangentPoint(x + FD_STEP * np.eye(2)[0], dx))
+    with pytest.raises(DegeneracyError) as raised:
+        curvature_torsion(spec, TangentPoint(x, dx), N=np.zeros((2, 2)))
+    assert "metric value vanishes" in str(raised.value)
+    assert str(raised.value) == str(first.value)
+    assert raised.value.detail == first.value.detail
+
+
+def _groups():
+    # the dN/dx0 and dN/d(dx1) groups of a sampled point of each entry
+    for entry in catalog():
+        xs, dxs = sample_points(entry, 1, seed=404)
+        x, dx = xs[0], dxs[0]
+        e = np.eye(entry.spec.dimension)
+        hx = FD_STEP * (1.0 + abs(x[0]))
+        hd = FD_STEP * float(np.linalg.norm(dx))
+        yield entry.name + "/x0", entry.spec, _stencil(x, hx, e[0]), [dx] * 4
+        yield entry.name + "/dx1", entry.spec, [x] * 4, _stencil(dx, hd, e[1])
+    # dx0 = dx1 here, so the best regular block flips inside the group:
+    # (0, 2), (1, 2), (0, 2), (1, 2); the group is redone point by point
+    x, dx = np.array([0.3, -0.2, 0.5]), np.array([0.6, 0.6, 0.4])
+    hd = FD_STEP * float(np.linalg.norm(dx))
+    yield ("riemann-3d-generic/two-blocks", catalog_entry("riemann-3d-generic").spec,
+           [x] * 4, _stencil(dx, hd, np.eye(3)[1]))
+
+
+@pytest.mark.parametrize("spec, xs, dxs", [g[1:] for g in _groups()],
+                         ids=[g[0] for g in _groups()])
+def test_richardson_group_matches_a_loop_of_coefficients_N(spec, xs, dxs):
+    group = _outcome(lambda: _richardson_N(spec, np.array(xs), np.array(dxs), 1e-9))
+    loop = _outcome(lambda: [coefficients_N(spec, TangentPoint(x, dx)) for x, dx in zip(xs, dxs)])
+    if isinstance(loop, str):
+        assert group == loop
+        return
+    for batched, single in zip(group, loop, strict=True):
+        for field in dataclasses.fields(single):
+            a, b = getattr(batched, field.name), getattr(single, field.name)
+            assert a == b if isinstance(b, (dict, bool)) else same_bits(a, b), field.name
+
+
+@pytest.mark.parametrize("name", ["riemann-2d-curved", "potential-system"])
+def test_curvature_takes_one_jet_pass_per_richardson_group(monkeypatch, name):
+    import finslerconn.connection as conn_mod
+
+    entry = catalog_entry(name)
+    n1 = entry.spec.dimension
+    xs, dxs = sample_points(entry, 1, seed=404)
+    pt = TangentPoint(xs[0], dxs[0])
+    N = coefficients_N(entry.spec, pt).N
+    calls = {"compute_jets": 0, "analyze": 0}
+
+    def count(fn_name):
+        original = getattr(conn_mod, fn_name)
+
+        def wrapper(*args, **kwargs):
+            calls[fn_name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(conn_mod, fn_name, wrapper)
+
+    count("compute_jets")
+    count("analyze")
+    curvature_torsion(entry.spec, pt, N=N)
+    assert calls == {"compute_jets": 2 * n1, "analyze": 8 * n1}
 
 
 def _outcome(fn):

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import fd_mixed_block, fd_x_gradient, sample_points
 from finslerconn.catalog import catalog, catalog_entry
-from finslerconn.dsl import parse
-from finslerconn.errors import HomogeneityError, InvalidStateError
+from finslerconn import dsl
+from finslerconn.dsl import parse, require_admissible
+from finslerconn.errors import DomainError, HomogeneityError, InvalidStateError
 from finslerconn.jet import TangentPoint, check_homogeneity, compute_jet, compute_jets
 
 
@@ -103,6 +104,56 @@ def test_homogeneity_tolerance_must_be_finite_and_nonnegative(rtol):
     entry = catalog_entry("riemann-2d-curved")
     with pytest.raises(InvalidStateError, match="homogeneity tolerance"):
         compute_jets(entry.spec, [[1.2, 0.3]], [[0.6, 0.5]], rtol=rtol)
+
+
+def _same_error(spec, xs, dxs, row):
+    """compute_jets on the batch raises the DomainError of ``row`` alone."""
+    with pytest.raises(DomainError) as alone:
+        require_admissible(spec, np.asarray(xs[row], float), np.asarray(dxs[row], float))
+    with pytest.raises(DomainError) as batch:
+        compute_jets(spec, xs, dxs, validate=False)
+    assert str(batch.value) == str(alone.value)
+    assert batch.value.detail == alone.value.detail
+    return str(batch.value)
+
+
+def test_batch_guard_raises_the_first_violating_row_alone():
+    entry = catalog_entry("potential-system")
+    xs, dxs = sample_points(entry, 5, seed=7)
+    dxs[2, 0] = -0.25 * dxs[2, 0]  # breaks d0 > 0
+    dxs[4, 0] = -dxs[4, 0]
+    message = _same_error(entry.spec, xs, dxs, 2)
+    assert message == f"guard violated: value {float(dxs[2, 0])!r}"
+
+
+def test_batch_admissibility_evaluates_the_guard_once(monkeypatch):
+    entry = catalog_entry("potential-system")
+    xs, dxs = sample_points(entry, 6, seed=7)
+    calls = []
+    original = dsl.eval_values
+    monkeypatch.setattr(dsl, "eval_values", lambda *a: calls.append(len(a[2])) or original(*a))
+    compute_jets(entry.spec, xs, dxs, validate=False)
+    assert calls == [6]
+
+
+def test_batch_zero_direction_raises_the_per_point_error():
+    entry = catalog_entry("riemann-2d-curved")
+    xs = np.array([[1.2, 0.3], [1.1, 0.4], [0.9, 0.2]])
+    dxs = np.array([[0.6, 0.5], [0.0, 0.0], [0.0, 0.0]])
+    assert _same_error(entry.spec, xs, dxs, 1) == "degenerate direction: dx = 0"
+
+
+@pytest.mark.parametrize("rows, bad_row, message", [
+    # row 2's guard takes the sqrt of a negative, so the batch evaluation
+    # raises; row 1 violates the guard with a finite value and comes first
+    ([(1.0, 2.0), (4.0, 1.0), (-1.0, 2.0)], 1, "guard violated: value -1.0"),
+    ([(1.0, 2.0), (-1.0, 2.0), (4.0, 1.0)], 1, "sqrt of a negative value"),
+])
+def test_batch_guard_that_raises_falls_back_to_the_per_point_check(rows, bad_row, message):
+    spec = parse("sqrt(d0^2 + d1^2)", dimension=2, guard="x1 - sqrt(x0)")
+    xs = np.array(rows)
+    dxs = np.tile([0.6, 0.8], (len(rows), 1))
+    assert _same_error(spec, xs, dxs, bad_row) == message
 
 
 def test_check_homogeneity_euclidean():

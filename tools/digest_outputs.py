@@ -21,7 +21,11 @@ through ``benchmark/run.py``'s loader, and the inputs come from
 - ``resolve_multipliers`` in the time gauge at 3 sampled points of each
   catalog entry (``RESOLVE_POINTS``), with every field of the
   ``MultiplierResolution`` (its jet and ``DegeneracyData`` included), or
-  the error raised.
+  the error raised;
+- ``curvature_torsion`` at 3 sampled points of each catalog entry
+  (``CURVATURE_POINTS``) and at two inputs where it refuses
+  (``CURVATURE_REFUSALS``), with ``R``, ``N2`` and both steps, or the
+  error's type, message and detail.
 
 Run it on two checkouts and ``diff`` the outputs: no line may differ.
 """
@@ -50,6 +54,14 @@ TRANSPORT_METRICS = ("potential-system", "quartic-root", "riemann-3d-generic", "
 TRANSPORTS_EACH = 6
 TRANSPORT_STEPS = 30
 RESOLVE_POINTS = 3
+CURVATURE_POINTS = 3
+# (entry, x, dx) where coefficients_N succeeds and curvature_torsion
+# raises: a stencil defect near Frenkel's rank transition, and a
+# potential-system dx-stencil point that leaves d0 > 0
+CURVATURE_REFUSALS = {
+    "frenkel-defect": ("frenkel", (0.2, -0.4, 0.3, 0.5), (1.0, 0.3, 0.8, 5e-4)),
+    "potential-guard": ("potential-system", (0.2, -0.4, 0.3, 0.5), (1.95e-4, 0.6, 0.8, 0.5)),
+}
 # argument lists of cli.main that must fail cleanly; "{config}" is the
 # path of a config file holding CLI_CONFIG, "{metric}" that of a metric
 # file holding CLI_METRIC
@@ -189,6 +201,24 @@ def resolve_lines(pkg):
             yield f"resolve/{entry.name}/{k}", digest(*parts)
 
 
+def curvature_lines(pkg):
+    entries = {e.name: e for e in pkg.catalog.catalog()}
+    points = {}
+    for m, entry in enumerate(entries.values()):
+        rng = np.random.default_rng([404, m])
+        xs, dxs = entry.sampler.sample(rng, CURVATURE_POINTS, entry.spec)
+        for k in range(CURVATURE_POINTS):
+            points[f"{entry.name}/{k}"] = (entry.name, xs[k], dxs[k])
+    points.update(CURVATURE_REFUSALS)
+    for name, (metric, x, dx) in points.items():
+        try:
+            cd = pkg.connection.curvature_torsion(entries[metric].spec, pkg.jet.TangentPoint(x, dx))
+            parts = (cd.R, cd.N2, cd.x_step, cd.dx_step)
+        except Exception as exc:  # a refusal is an output too
+            parts = (*failure(exc), getattr(exc, "detail", None))
+        yield f"curvature/{name}", digest(*parts)
+
+
 def cli_failure_lines(pkg):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
@@ -216,6 +246,7 @@ def main() -> int:
     lines.extend(cli_failure_lines(pkg))
     lines.extend(integrate_lines(pkg))
     lines.extend(resolve_lines(pkg))
+    lines.extend(curvature_lines(pkg))
     for name, value in lines:
         print(name, value)
     return 0
