@@ -487,7 +487,7 @@ def _rk4(rates, y: tuple, tau: float, h: float, k1: tuple) -> tuple:
 
 
 # runtime failures that end a run with ``halt_reason`` instead of raising
-_HALTING_ERRORS = (DomainError, ConsistencyError, DegeneracyError)
+_HALTING_ERRORS = (DomainError, ConsistencyError, DegeneracyError, np.linalg.LinAlgError)
 
 
 def integrate(
@@ -509,9 +509,11 @@ def integrate(
     when the rank changes or the block degrades; structure changes are
     logged and eigenvector signs re-anchored.  Runtime failures
     (leaving the admissible domain, multiplier inconsistency, frame
-    degeneration) halt the trajectory and return the completed part with
-    ``halt_reason`` set; precondition violations, a failure at the initial
-    node included, raise :class:`InvalidStateError` instead.
+    degeneration, a linear-algebra routine that does not converge), in a
+    step or in a new node's analysis or projection, halt the trajectory
+    and return the completed part with ``halt_reason`` set; precondition
+    violations, a failure at the initial node included, raise
+    :class:`InvalidStateError` instead.
 
     ``project=True`` enables the logged least-squares pullback onto the
     constraint surface when the drift exceeds 10x ``constraint_tol``.
@@ -587,21 +589,25 @@ def integrate(
             deg_new = analyze_frozen(jet, deg)
         except DegeneracyError:
             deg_new = None
-        if deg_new is None or _rank(deg_new.sing_values, rank_tol) != deg.rank:
-            deg_new = analyze(jet, rank_tol=rank_tol)
-        deg_new, flips = _reanchor(deg_new, deg.v_raw)
-        pending_events.extend(flips)
-        deg = deg_new
-
         projected = False
-        if project and deg.D:
-            C_now = constraint_residuals(jet, deg)
-            if float(np.max(np.abs(C_now))) > 10.0 * constraint_tol * c_scale:
-                x_new, dx_new = _project_onto_constraints(spec, x_new, dx_new, deg)
-                jet = compute_jet(spec, x=x_new, dx=dx_new, validate=False)
-                deg, _ = _reanchor(analyze(jet, rank_tol=rank_tol), deg_new.v_raw)
-                traj.projected_steps += 1
-                projected = True
+        try:
+            if deg_new is None or _rank(deg_new.sing_values, rank_tol) != deg.rank:
+                deg_new = analyze(jet, rank_tol=rank_tol)
+            deg_new, flips = _reanchor(deg_new, deg.v_raw)
+            pending_events.extend(flips)
+            deg = deg_new
+
+            if project and deg.D:
+                C_now = constraint_residuals(jet, deg)
+                if float(np.max(np.abs(C_now))) > 10.0 * constraint_tol * c_scale:
+                    x_new, dx_new = _project_onto_constraints(spec, x_new, dx_new, deg)
+                    jet = compute_jet(spec, x=x_new, dx=dx_new, validate=False)
+                    deg, _ = _reanchor(analyze(jet, rank_tol=rank_tol), deg_new.v_raw)
+                    traj.projected_steps += 1
+                    projected = True
+        except _HALTING_ERRORS as exc:
+            traj.halt_reason = f"{type(exc).__name__}: {exc}"
+            break
 
         new_structure = (deg.rank, deg.a_indices, deg.I_indices)
         if new_structure != structure:

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import dsl
 from .degeneracy import (
+    DegeneracyBatch,
     DegeneracyData,
     _assemble,
     _dot,
@@ -112,25 +113,24 @@ def moment_map(jet: Jet2 | JetBatch) -> np.ndarray:
 def constraint_residuals(jets: JetBatch | Jet2, degs) -> np.ndarray:
     """C_I: the components of the defining equations no multiplier can absorb.
 
-    ``jets`` is a :class:`JetBatch` with one :class:`DegeneracyData` per
-    point, all on one branch (as :func:`analyze_frozen` returns them), and
-    the result has one row per point; or a single :class:`Jet2` with its
-    ``DegeneracyData``.  Invariant under shifting v along dx and under the
-    regular-block choice, so it is evaluated with the raw (unshifted)
-    vectors, which stay smooth across surfaces where the metric value
-    vanishes; no frame is needed.
+    ``jets`` is a :class:`JetBatch` with its :class:`DegeneracyBatch` (as
+    :func:`analyze_frozen` returns it), and the result has one row per
+    point; or a single :class:`Jet2` with its ``DegeneracyData``.
+    Invariant under shifting v along dx and under the regular-block
+    choice, so it is evaluated with the raw (unshifted) vectors, which
+    stay smooth across surfaces where the metric value vanishes; no frame
+    is needed.
     """
     single = isinstance(jets, Jet2)
     if single:
-        jets, degs = JetBatch.of(jets), [degs]
-    if degs[0].D == 0:
+        jets, degs = JetBatch.of(jets), DegeneracyBatch.of(degs)
+    if degs.D == 0:
         C = np.zeros((len(jets), 0))
     else:
         M = moment_map(jets)
-        a_idx = np.asarray(degs[0].a_indices, dtype=int)
-        v_raw = np.array([d.v_raw for d in degs])
-        lam = np.array([d.Lab_inv for d in degs]) @ M[:, a_idx, None]
-        C = ((v_raw @ M[:, :, None]) - (v_raw @ jets.L2)[:, :, a_idx] @ lam)[:, :, 0]
+        a_idx = np.asarray(degs.a_indices, dtype=int)
+        lam = degs.Lab_inv @ M[:, a_idx, None]
+        C = ((degs.v_raw @ M[:, :, None]) - (degs.v_raw @ jets.L2)[:, :, a_idx] @ lam)[:, :, 0]
     return C[0] if single else C
 
 
@@ -138,23 +138,23 @@ def _l_floor(jets: JetBatch) -> np.ndarray:
     return 1e-12 * np.maximum(_norm(jets.p) * _norm(jets.dx), 1e-30)
 
 
-def _frames(jets: JetBatch, degs: list[DegeneracyData]) -> dict:
+def _frames(jets: JetBatch, degs: DegeneracyBatch) -> dict:
     """The adapted frames of a batch on one branch, stacked (``ell0``,
     ``ellI``, ``ella``, ``matrix``, ``det``); raises what a per-point loop
     raises first: a vanishing metric value, then a degenerate frame."""
     B, n1 = jets.dx.shape
-    a_indices = degs[0].a_indices
+    a_indices = degs.a_indices
     vanishing = np.abs(jets.L) <= _l_floor(jets)
     L = np.where(vanishing, 1.0, jets.L)[:, None]
     ell0 = jets.dx / L
-    ellI = np.array([d.v for d in degs])
     ella = np.zeros((B, len(a_indices), n1))
     for row, a in enumerate(a_indices):
         ella[:, row, a] = 1.0
         ella[:, row] -= (jets.p[:, a:a + 1] / L) * jets.dx
-    matrix = np.concatenate([ell0[:, None, :], ellI, ella], axis=1)
+    matrix = np.concatenate([ell0[:, None, :], degs.v, ella], axis=1)
     det = np.linalg.det(matrix)
-    scale = np.prod(np.linalg.norm(matrix, axis=2), axis=1)
+    # np.prod(np.linalg.norm(matrix, axis=2), axis=1) without the wrappers' overhead
+    scale = np.multiply.reduce(np.sqrt(np.add.reduce(matrix * matrix, axis=2)), axis=1)
     failed = _first_failure([
         (vanishing, lambda b: DegeneracyError(
             "metric value vanishes at this point; the flow-normalized frame "
@@ -167,7 +167,7 @@ def _frames(jets: JetBatch, degs: list[DegeneracyData]) -> dict:
     ])
     if failed is not None:
         raise failed[1]
-    return {"ell0": ell0, "ellI": ellI, "ella": ella, "matrix": matrix, "det": det}
+    return {"ell0": ell0, "ellI": degs.v, "ella": ella, "matrix": matrix, "det": det}
 
 
 def build_ell_basis(jet: Jet2, deg: DegeneracyData) -> EllBasis:
@@ -177,28 +177,58 @@ def build_ell_basis(jet: Jet2, deg: DegeneracyData) -> EllBasis:
     (up to the recorded correction defects).  A near-zero determinant
     signals an ill-chosen regular block and raises.
     """
-    f = _frames(JetBatch.of(jet), [deg])
+    f = _frames(JetBatch.of(jet), DegeneracyBatch.of(deg))
     return EllBasis(
         ell0=f["ell0"][0], ellI=f["ellI"][0], ella=f["ella"][0], matrix=f["matrix"][0],
         det=float(f["det"][0]),
     )
 
 
-def _spray(jets: JetBatch, degs: list[DegeneracyData], lamI: np.ndarray) -> dict:
+def _spray(jets: JetBatch, degs: DegeneracyBatch, lamI: np.ndarray) -> dict:
     """The spray of a batch on one branch in stacked numpy calls: the
     :func:`_frames` fields plus ``M``, ``lambda_a``, ``omega`` and ``G``,
     one row per point; ``lamI`` holds each point's gauge multipliers."""
     f = _frames(jets, degs)
     M = moment_map(jets)
-    a_idx = np.asarray(degs[0].a_indices, dtype=int)
-    lambda_a = (np.array([d.Lab_inv for d in degs]) @ M[:, a_idx, None])[:, :, 0]
+    a_idx = np.asarray(degs.a_indices, dtype=int)
+    lambda_a = (degs.Lab_inv @ M[:, a_idx, None])[:, :, 0]
     omega = _dot(jets.dx, jets.dL_dx)
     G = (0.5 * omega)[:, None] * f["ell0"]
-    if degs[0].D:
+    if degs.D:
         G = G + (lamI[:, None, :] @ f["ellI"])[:, 0]
     if a_idx.size:
         G = G + (lambda_a[:, None, :] @ f["ella"])[:, 0]
     return {**f, "M": M, "lambda_a": lambda_a, "omega": omega, "G": G}
+
+
+def _connections(jets: JetBatch, degs: DegeneracyBatch, lamI: np.ndarray) -> list[ConnectionData]:
+    """:func:`solve_G` at each point of a batch on one branch, without the
+    regular-block retry: one stacked :func:`_spray` (which raises what a
+    per-point loop raises first) and stacked diagnostics."""
+    sp = _spray(jets, degs, lamI)
+    C = constraint_residuals(jets, degs)
+    omega_residual = _dot(2.0 * jets.p, sp["G"]) - sp["omega"]
+    blowup = _norm(sp["lambda_a"]) * degs.sing_values[:, 0] > (
+        LAMBDA_BLOWUP_RATIO * np.maximum(_norm(sp["M"]), 1e-300)
+    )
+    return [
+        ConnectionData(
+            G=sp["G"][k],
+            N=None,
+            ell0=sp["ell0"][k],
+            ellI=sp["ellI"][k],
+            ella=sp["ella"][k],
+            lambda_a=sp["lambda_a"][k],
+            M=sp["M"][k],
+            C=C[k],
+            gauge_lambdaI=lamI[k],
+            omega=float(sp["omega"][k]),
+            omega_residual=float(omega_residual[k]),
+            basis_det=float(sp["det"][k]),
+            lambda_blowup=bool(blowup[k]),
+        )
+        for k in range(len(jets))
+    ]
 
 
 def solve_G(
@@ -211,56 +241,23 @@ def solve_G(
     ``gauge_lambdaI`` fixes the free multipliers along the zero
     eigenvectors (default 0).  Constraint residuals C_I are reported; they
     vanish exactly on the constraint surface of a degenerate metric.
-    Retries lower-ranked regular blocks when the frame degenerates.
+    Retries lower-ranked regular blocks when the frame degenerates.  The
+    point is a batch of one of the stacked solver that a Richardson group
+    runs over its points.
     """
     lamI = np.zeros(deg.D) if gauge_lambdaI is None else np.asarray(gauge_lambdaI, float)
     if lamI.shape != (deg.D,):
         raise ValueError(f"gauge_lambdaI must have shape ({deg.D},)")
 
     jets = JetBatch.of(jet)
-    sp = None
     last_err: Exception | None = None
     for candidate in deg.a_candidates:
         trial = deg if candidate == deg.a_indices else _with_a_set(jet, deg, candidate)
         try:
-            sp = _spray(jets, [trial], lamI[None])
-            deg = trial
-            break
+            return _connections(jets, DegeneracyBatch.of(trial), lamI[None])[0]
         except DegeneracyError as exc:
             last_err = exc
-    if sp is None:
-        raise last_err  # every candidate block failed
-
-    G = sp["G"][0]
-    M = sp["M"][0]
-    lambda_a = sp["lambda_a"][0]
-    omega = float(sp["omega"][0])
-    C = constraint_residuals(jets, [deg])[0]
-
-    omega_residual = float(2.0 * jet.p @ G - omega)
-
-    smax = float(deg.sing_values[0]) if deg.sing_values.size else 0.0
-    m_norm = float(np.linalg.norm(M))
-    blowup = bool(
-        lambda_a.size
-        and float(np.linalg.norm(lambda_a)) * smax > LAMBDA_BLOWUP_RATIO * max(m_norm, 1e-300)
-    )
-
-    return ConnectionData(
-        G=G,
-        N=None,
-        ell0=sp["ell0"][0],
-        ellI=sp["ellI"][0],
-        ella=sp["ella"][0],
-        lambda_a=lambda_a,
-        M=M,
-        C=C,
-        gauge_lambdaI=lamI,
-        omega=omega,
-        omega_residual=omega_residual,
-        basis_det=float(sp["det"][0]),
-        lambda_blowup=blowup,
-    )
+    raise last_err  # every candidate block failed
 
 
 def _stencil(base: np.ndarray, h: float, direction: np.ndarray) -> list[np.ndarray]:
@@ -305,21 +302,22 @@ def _richardson_N(
     xs: np.ndarray,
     dxs: np.ndarray,
     rank_tol: float,
-    jets=None,
-    degs=None,
+    jets: JetBatch | None = None,
+    degs: DegeneracyBatch | None = None,
 ) -> list[ConnectionData]:
     """:func:`coefficients_N` at each point of a Richardson group.
 
     One jet pass holds the points followed by each point's 4 n1
-    dx-stencil.  Each point gets its :func:`analyze` and its spray, and
-    the stencils of all points take one :func:`_solve_G_batch`, each row
-    with its point's sign anchors; that needs every point on one branch
-    (rank, regular block and index split).  When they are not, or a step
-    raises, each point is redone alone and in order (its own jet pass,
-    analysis and spray, then a pass and a spray for its stencil), so the
-    group raises what a loop of :func:`coefficients_N` raises first.
-    ``jets`` (and ``degs``) hold the jet (and analysis) of a single point
-    that the caller already has; that point is alone from the start.
+    dx-stencil.  The points take one :func:`analyze` and one stacked
+    spray, and their stencils one :func:`_solve_G_batch`, each row with
+    its point's sign anchors; that needs every point on one branch (rank,
+    regular block, index split and ``a_candidates``).  When they are not,
+    or a step raises, each point is redone alone and in order (its own
+    jet pass, analysis and :func:`solve_G` with its regular-block retry,
+    then a pass and a spray for its stencil), so the group raises what a
+    loop of :func:`coefficients_N` raises first.  ``jets`` (and ``degs``)
+    hold the jet (and analysis) of a single point that the caller already
+    has; that point is alone from the start.
     """
     P, n1 = xs.shape
     steps = [FD_STEP * float(np.linalg.norm(dx)) for dx in dxs]
@@ -336,18 +334,21 @@ def _richardson_N(
             batch = compute_jets(spec, np.concatenate([xs, stencil_xs]),
                                  np.concatenate([dxs, stencil_dxs]), validate=False)
             jets, stencil_jets = batch[:P], batch[P:]
-        ds = [analyze(jet, rank_tol=rank_tol) for jet in jets] if degs is None else degs
-        bases = [solve_G(jet, deg) for jet, deg in zip(jets, ds)]
-        if stencil_jets is None:
-            stencil_jets = compute_jets(spec, stencil_xs, stencil_dxs, validate=False)
-        if len({(d.rank, d.a_indices, d.zero_index, d.I_indices) for d in ds}) == 1:
-            anchors = np.repeat(np.array([d.v_raw for d in ds]), rows, axis=0)
+        ds = analyze(jets, rank_tol=rank_tol) if degs is None else degs
+        if isinstance(ds, DegeneracyBatch):  # one branch
+            if alone:
+                bases = [solve_G(jets[0], ds[0])]
+            else:
+                bases = _connections(jets, ds, np.zeros((P, ds.D)))
+            if stencil_jets is None:
+                stencil_jets = compute_jets(spec, stencil_xs, stencil_dxs, validate=False)
+            anchors = np.repeat(ds.v_raw, rows, axis=0)
             try:
                 G_vals = _solve_G_batch(stencil_jets, ds[0], anchors).reshape(P, rows, n1)
             except DegeneracyError as exc:
                 raise DegeneracyError(
                     f"finite differencing of G failed near a rank transition: {exc}",
-                    gap_ratio=ds[0].gap_ratio, sing_values=ds[0].sing_values.tolist(),
+                    gap_ratio=float(ds.gap_ratio[0]), sing_values=ds.sing_values[0].tolist(),
                 ) from exc
     except (DomainError, DegeneracyError):
         if alone:
@@ -356,12 +357,12 @@ def _richardson_N(
         return [
             _richardson_N(spec, xs[k:k + 1], dxs[k:k + 1], rank_tol,
                           jets=compute_jets(spec, xs[k:k + 1], dxs[k:k + 1], validate=False),
-                          degs=None if degs is None else degs[k:k + 1])[0]
+                          degs=None if degs is None else DegeneracyBatch.of(degs[k]))[0]
             for k in range(P)
         ]
 
     out = []
-    for k, (base, deg, dx, h) in enumerate(zip(bases, ds, dxs, steps)):
+    for k, (base, dx, h) in enumerate(zip(bases, dxs, steps)):
         N = np.empty((n1, n1))
         for alpha in range(n1):
             N[:, alpha] = _richardson(G_vals[k, 4 * alpha : 4 * alpha + 4], h)
@@ -376,7 +377,7 @@ def _richardson_N(
             raise DegeneracyError(
                 f"finite differencing of G failed near a rank transition: "
                 f"N.dx = 2G defect {defect:.3e} at scale {scale:.3e}",
-                gap_ratio=deg.gap_ratio, sing_values=deg.sing_values.tolist(),
+                gap_ratio=float(ds.gap_ratio[k]), sing_values=ds.sing_values[k].tolist(),
             )
         out.append(replace(base, N=N, fd_steps={"dx_step": h, "richardson": True}))
     return out
@@ -403,8 +404,8 @@ def coefficients_N(
     """
     return _richardson_N(
         spec, pt.x[None, :], pt.dx[None, :], rank_tol,
-        jets=None if jet is None else [jet],
-        degs=None if deg is None else [deg],
+        jets=None if jet is None else JetBatch.of(jet),
+        degs=None if deg is None else DegeneracyBatch.of(deg),
     )[0]
 
 

@@ -7,22 +7,24 @@ index split into {flow-like index} | {degenerate indices I} | {regular
 indices a}, and the inverse of the regular block: everything the
 connection solver needs to invert its defining equations.
 
-One routine, ``_assemble``, builds every :class:`DegeneracyData` from the
-SVD of ``L2``, a rank, a regular block and an index split.  It works on a
-:class:`JetBatch` whose points share that branch, in one stacked numpy
-call per step (SVD, null-vector projector, block singularity test,
-inverse), and a batch raises what a loop over its points would raise
-first.  Its callers differ only in how they pick the branch:
-:func:`analyze` takes the rank from the singular values and the best
-invertible block by |det| (a batch of one); :func:`analyze_frozen` keeps
-the branch (rank, block, split and signs) of a base point's
-:class:`DegeneracyData` for a whole batch; ``_with_a_set`` swaps in
-another block for the regular-block retry of ``connection.solve_G``.
+One routine, ``_assemble``, builds the structure of a :class:`JetBatch`
+whose points share one branch (an SVD of ``L2``, a rank, a regular
+block and an index split), in one stacked numpy call per step (SVD,
+null-vector projector, block singularity test, inverse), into one
+:class:`DegeneracyBatch`; a batch raises what a loop over its points
+would raise first.  Its callers differ only in how they pick the branch:
+:func:`analyze` takes each point's rank from the singular values and its
+best invertible block by |det|, and assembles the points of each branch
+together; :func:`analyze_frozen` keeps the branch (rank, block, split and
+signs) of a base point's :class:`DegeneracyData` for a whole batch;
+``_with_a_set`` swaps in another block for the regular-block retry of
+``connection.solve_G``.  A single :class:`Jet2` is the batch of one.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,7 @@ from .jet import Jet2, JetBatch, TangentPoint, compute_jets
 
 __all__ = [
     "DegeneracyData",
+    "DegeneracyBatch",
     "analyze",
     "analyze_frozen",
     "detect_rank_drop",
@@ -74,22 +77,81 @@ class DegeneracyData:
         return self.gap_ratio < 10.0
 
 
-def _best_a_sets(L2: np.ndarray, rank: int) -> list[tuple[float, tuple[int, ...]]]:
-    """All size-``rank`` principal blocks ranked by |det|, best first."""
-    n1 = L2.shape[0]
-    scored = []
-    for combo in itertools.combinations(range(n1), rank):
-        idx = np.asarray(combo, dtype=int)
-        det = abs(float(np.linalg.det(L2[np.ix_(idx, idx)]))) if rank else 1.0
-        scored.append((det, combo))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    return scored
+@dataclass(eq=False)
+class DegeneracyBatch(Sequence):
+    """The :class:`DegeneracyData` of many points on one branch, stacked.
+
+    The branch fields (``rank``, ``D``, ``a_indices``, ``I_indices``,
+    ``zero_index`` and ``a_candidates``) are shared; the others are those
+    of :class:`DegeneracyData` with a leading batch axis.  Stacked callers
+    read the arrays; indexing by an integer yields that point's
+    :class:`DegeneracyData`, built on first access and kept.  Treat it as
+    read-only: it is not frozen only because a frozen dataclass takes
+    several times longer to build, and the structural layer builds one per
+    call.
+    """
+
+    rank: int
+    D: int
+    a_indices: tuple[int, ...]
+    I_indices: tuple[int, ...]
+    zero_index: int
+    a_candidates: tuple[tuple[int, ...], ...]
+    v: np.ndarray  # (B, D, n+1)
+    v_raw: np.ndarray
+    Lab_inv: np.ndarray  # (B, rank, rank)
+    sing_values: np.ndarray  # (B, n+1)
+    gap_ratio: np.ndarray  # (B,)
+    p_residuals: np.ndarray  # (B, D)
+    correction_skipped: np.ndarray  # (B, D) bool
+    dx_null_defect: np.ndarray  # (B,)
+
+    def __post_init__(self):
+        self._rows = [None] * len(self)
+
+    @classmethod
+    def of(cls, deg: DegeneracyData) -> "DegeneracyBatch":
+        """The batch of one point, sharing ``deg``'s arrays; its row is ``deg``."""
+        batch = cls(
+            rank=deg.rank, D=deg.D, a_indices=deg.a_indices, I_indices=deg.I_indices,
+            zero_index=deg.zero_index, a_candidates=deg.a_candidates, v=deg.v[None],
+            v_raw=deg.v_raw[None], Lab_inv=deg.Lab_inv[None], sing_values=deg.sing_values[None],
+            gap_ratio=np.array([deg.gap_ratio]), p_residuals=deg.p_residuals[None],
+            correction_skipped=np.array(deg.correction_skipped, dtype=bool)[None],
+            dx_null_defect=np.array([deg.dx_null_defect]),
+        )
+        batch._rows[0] = deg
+        return batch
+
+    def __len__(self) -> int:
+        return self.gap_ratio.shape[0]
+
+    def __getitem__(self, i: int) -> DegeneracyData:
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = DegeneracyData(
+                rank=self.rank,
+                D=self.D,
+                v=self.v[i],
+                v_raw=self.v_raw[i],
+                a_indices=self.a_indices,
+                I_indices=self.I_indices,
+                zero_index=self.zero_index,
+                Lab_inv=self.Lab_inv[i],
+                sing_values=self.sing_values[i],
+                gap_ratio=float(self.gap_ratio[i]),
+                p_residuals=self.p_residuals[i],
+                correction_skipped=tuple(bool(c) for c in self.correction_skipped[i]),
+                dx_null_defect=float(self.dx_null_defect[i]),
+                a_candidates=self.a_candidates,
+            )
+        return row
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise a . b of two (B, n) stacks; each row has the bits of the
     1-d ``a @ b`` (an ``axis=`` sum or ``einsum`` differs in the last bit)."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return np.vecdot(a, b)
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
@@ -105,9 +167,10 @@ def _first_failure(checks) -> tuple[int, Exception] | None:
     per-point check order."""
     first = None
     for mask, error in checks:
-        hits = np.flatnonzero(mask)
-        if hits.size and (first is None or hits[0] < first[0]):
-            first = (int(hits[0]), error)
+        if mask.any():
+            hit = int(mask.argmax())
+            if first is None or hit < first[0]:
+                first = (hit, error)
     return None if first is None else (first[0], first[1](first[0]))
 
 
@@ -179,22 +242,33 @@ def null_vectors(
     }, checks
 
 
-def index_split(jet: Jet2, a_indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+def _dx_hat(jets: JetBatch) -> list[list[float]]:
+    """|dx| / ||dx|| of each point, the input of :func:`index_split`."""
+    return (np.abs(jets.dx) / _norm(jets.dx)[:, None]).tolist()
+
+
+def index_split(dx_hat: list[float], a_indices: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """(zero_index, I_indices): the coordinates outside the regular block,
     the one most aligned with dx (lowest index on ties) taken as the flow
-    index and the rest as degenerate indices."""
-    complement = [i for i in range(jet.dimension) if i not in a_indices]
-    dx_hat = np.abs(jet.dx) / float(np.linalg.norm(jet.dx))
+    index and the rest as degenerate indices; ``dx_hat`` is a point's row
+    of :func:`_dx_hat`."""
+    complement = [i for i in range(len(dx_hat)) if i not in a_indices]
     zero_index = max(complement, key=lambda i: (dx_hat[i], -i))
     return zero_index, tuple(i for i in complement if i != zero_index)
 
 
-def _rank(sv: np.ndarray, rank_tol: float) -> int:
-    """Count of singular values above ``rank_tol`` relative to the largest."""
+def _ranks(sv: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Count of singular values above ``rank_tol`` relative to the largest,
+    for each row of a (B, n+1) stack of spectra."""
     if not 0.0 <= rank_tol < 1.0:
         raise InvalidStateError(f"rank_tol must lie in [0, 1), got {rank_tol!r}")
-    smax = float(sv[0]) if sv.size else 0.0
-    return int(np.count_nonzero(sv > rank_tol * smax)) if smax > 0 else 0
+    # singular values are >= 0, so an all-zero spectrum counts 0
+    return np.add.reduce(sv > rank_tol * sv[:, :1], axis=1)
+
+
+def _rank(sv: np.ndarray, rank_tol: float) -> int:
+    """:func:`_ranks` of one spectrum."""
+    return int(_ranks(sv[None], rank_tol)[0])
 
 
 def _assemble(
@@ -205,12 +279,15 @@ def _assemble(
     split: tuple[int, tuple[int, ...]],
     anchors: np.ndarray | None = None,
     a_candidates: tuple[tuple[int, ...], ...] | None = None,
-) -> tuple[list[DegeneracyData], DegeneracyError | None]:
-    """:class:`DegeneracyData` of each point of ``jets`` at one rank, regular
-    block and index split (zero_index, I_indices), in stacked numpy calls.
+    block_checked: bool = False,
+) -> tuple[DegeneracyBatch, DegeneracyError | None]:
+    """The structure of the points of ``jets`` at one rank, regular block
+    and index split (zero_index, I_indices), in stacked numpy calls.
 
     ``svd`` is ``np.linalg.svd(jets.L2)``; ``anchors`` fix the null-vector
-    signs.  Returns the data of the points before the first failing one
+    signs; ``block_checked`` skips the singular-block test for blocks the
+    caller has already found invertible.  Returns the
+    :class:`DegeneracyBatch` of the points before the first failing one
     and that point's error (None when every point passes), so that a
     batch raises what a per-point loop raises first: the missing
     null-space component of an I axis (in axis order), then a numerically
@@ -228,7 +305,7 @@ def _assemble(
     smax = sv[:, 0]
     a_idx = np.asarray(a_indices, dtype=int)
     blocks = jets.L2[:, a_idx[:, None], a_idx]
-    if rank > 0:
+    if rank > 0 and not block_checked:
         smin = np.linalg.svd(blocks, compute_uv=False)[:, -1]
         checks.append((
             smin <= 1e-14 * np.maximum(smax, 1e-300),
@@ -238,75 +315,114 @@ def _assemble(
             ),
         ))
     failed = _first_failure(checks)
-    n_ok = B if failed is None else failed[0]
-    Lab_inv = np.linalg.inv(blocks[:n_ok]) if rank > 0 else np.zeros((n_ok, 0, 0))
+    ok = slice(None) if failed is None else slice(failed[0])
     L2_dx = (jets.L2 @ jets.dx[:, :, None])[:, :, 0]
     scale = smax * _norm(jets.dx)
     defect = np.divide(_norm(L2_dx), scale, out=np.zeros(B), where=smax > 0)
-    degs = [
-        DegeneracyData(
-            rank=rank,
-            D=n1 - 1 - rank,
-            v=nulls["v"][b],
-            v_raw=nulls["v_raw"][b],
-            a_indices=a_indices,
-            I_indices=I_indices,
-            zero_index=zero_index,
-            Lab_inv=Lab_inv[b],
-            sing_values=sv[b],
-            gap_ratio=float(gap[b]),
-            p_residuals=nulls["p_residuals"][b],
-            correction_skipped=tuple(bool(c) for c in nulls["correction_skipped"][b]),
-            dx_null_defect=float(defect[b]),
-            a_candidates=(a_indices,) if a_candidates is None else a_candidates,
-        )
-        for b in range(n_ok)
-    ]
+    degs = DegeneracyBatch(
+        rank=rank,
+        D=n1 - 1 - rank,
+        a_indices=a_indices,
+        I_indices=I_indices,
+        zero_index=zero_index,
+        a_candidates=(a_indices,) if a_candidates is None else a_candidates,
+        v=nulls["v"][ok],
+        v_raw=nulls["v_raw"][ok],
+        Lab_inv=np.linalg.inv(blocks[ok]) if rank > 0 else np.zeros((B, 0, 0))[ok],
+        sing_values=sv[ok],
+        gap_ratio=gap[ok],
+        p_residuals=nulls["p_residuals"][ok],
+        correction_skipped=nulls["correction_skipped"][ok],
+        dx_null_defect=defect[ok],
+    )
     return degs, None if failed is None else failed[1]
 
 
-def analyze(jet: Jet2, rank_tol: float = 1e-9) -> DegeneracyData:
+def analyze(jets: JetBatch | Jet2, rank_tol: float = 1e-9):
     """Determine rank, zero eigenvectors, index split and block inverse.
 
     Rank counts singular values above ``rank_tol`` (in [0, 1)) relative to
     the largest.  The regular block is chosen by exhaustive |det|
     maximization over principal submatrices (dimensions here are tiny),
     ties broken by lowest indices, so the choice is deterministic and
-    scale-covariant.  A singular-value gap ratio below 10 around the
-    threshold flags the rank as ambiguous without failing.
-    """
-    L2 = jet.L2
-    n = L2.shape[0] - 1
-    jets = JetBatch.of(jet)
-    svd = np.linalg.svd(jets.L2)
-    sv = svd[1][0]
-    rank = _rank(sv, rank_tol)
-    if rank > n:
-        # dx must be in the null space of a 1-homogeneous metric
-        raise DegeneracyError(
-            f"direction Hessian has full rank {rank}; dx is not a null vector "
-            "(homogeneity defect upstream)", rank=rank,
-        )
+    scale-covariant; ``a_candidates`` keeps the best 8 blocks in that
+    order.  A singular-value gap ratio below 10 around the threshold flags
+    the rank as ambiguous without failing.
 
-    ranked = _best_a_sets(L2, rank)
-    for _, a_indices in ranked:
+    ``jets`` is a single :class:`Jet2`, whose :class:`DegeneracyData` is
+    returned, or a :class:`JetBatch`, analyzed in one stacked SVD, one
+    stacked |det| ranking and block check per rank, and one stacked
+    assembly per branch (rank, block, index split and ``a_candidates``).
+    A batch on one branch yields a :class:`DegeneracyBatch`, a batch over
+    several a list of each point's :class:`DegeneracyData`; a batch raises
+    what a loop over its points would raise first.
+    """
+    single = isinstance(jets, Jet2)
+    batch = JetBatch.of(jets) if single else jets
+    B, n1 = batch.dx.shape
+    svd = np.linalg.svd(batch.L2)
+    sv = svd[1]
+    ranks = _ranks(sv, rank_tol).tolist()
+    # each point's principal blocks ranked by |det| (ties: lowest indices)
+    # and the best one that is invertible (None when none is)
+    picks: list = [None] * B
+    for rank in set(ranks) - {n1}:
+        pts = [b for b in range(B) if ranks[b] == rank]
         if rank == 0:
+            for b in pts:
+                picks[b] = (1.0, (), ((),))
+            continue
+        combos = list(itertools.combinations(range(n1), rank))
+        idx = np.array(combos)
+        blocks = batch.L2[pts][:, idx[:, :, None], idx[:, None, :]]  # (P, combos, r, r)
+        dets = np.abs(np.linalg.det(blocks)).tolist()
+        smin = np.linalg.svd(blocks, compute_uv=False)[..., -1]
+        invertible = (smin > 1e-12 * sv[pts, :1]).tolist()
+        for b, det, ok in zip(pts, dets, invertible):
+            ranked = sorted(range(len(combos)), key=lambda c: -det[c])
+            best = next((c for c in ranked if ok[c]), None)
+            picks[b] = (det[ranked[0]], None if best is None else combos[best],
+                        tuple(combos[c] for c in ranked[:8]))
+    failed = None
+    for b in range(B):
+        if ranks[b] == n1:
+            # dx must be in the null space of a 1-homogeneous metric
+            failed = (b, DegeneracyError(
+                f"direction Hessian has full rank {ranks[b]}; dx is not a null vector "
+                "(homogeneity defect upstream)", rank=ranks[b],
+            ))
             break
-        block = L2[np.ix_(a_indices, a_indices)]
-        if np.linalg.svd(block, compute_uv=False)[-1] > 1e-12 * float(sv[0]):
+        if picks[b][1] is None:
+            failed = (b, DegeneracyError(
+                "no invertible coordinate block of the reduced size exists",
+                rank=ranks[b], best_det=picks[b][0],
+            ))
             break
+    dx_hat = _dx_hat(batch)
+    branches: dict = {}
+    for b in range(B if failed is None else failed[0]):
+        _, a_indices, candidates = picks[b]
+        key = (ranks[b], a_indices, index_split(dx_hat[b], a_indices), candidates)
+        branches.setdefault(key, []).append(b)
+    parts = []
+    for (rank, a_indices, split, candidates), pts in branches.items():
+        sub, sub_svd = (batch, svd) if len(pts) == B else (batch[pts], tuple(a[pts] for a in svd))
+        # the blocks passed a stricter test above, so _assemble skips its own
+        degs, error = _assemble(sub, sub_svd, rank, a_indices, split,
+                                a_candidates=candidates, block_checked=True)
+        if error is not None and (failed is None or pts[len(degs)] < failed[0]):
+            failed = (pts[len(degs)], error)
+        parts.append((pts, degs))
+    if failed is not None:
+        raise failed[1]
+    if len(parts) == 1:
+        degs = parts[0][1]
     else:
-        raise DegeneracyError(
-            "no invertible coordinate block of the reduced size exists",
-            rank=rank, best_det=ranked[0][0],
-        )
-    degs, error = _assemble(
-        jets, svd, rank, a_indices, index_split(jet, a_indices),
-        a_candidates=tuple(combo for _, combo in ranked[:8]),
-    )
-    if error is not None:
-        raise error
-    return degs[0]
+        degs = [None] * B
+        for pts, part in parts:
+            for b, deg in zip(pts, part):
+                degs[b] = deg
+    return degs[0] if single else degs
 
 
 def analyze_frozen(jets: JetBatch | Jet2, base: DegeneracyData):
@@ -314,8 +430,8 @@ def analyze_frozen(jets: JetBatch | Jet2, base: DegeneracyData):
     index split, so the result varies smoothly.
 
     ``jets`` is a :class:`JetBatch`, analyzed in one stacked pass into a
-    list of :class:`DegeneracyData` (raising what a per-point loop would
-    raise first), or a single :class:`Jet2`, a batch of one.  Signs are
+    :class:`DegeneracyBatch` (raising what a per-point loop would raise
+    first), or a single :class:`Jet2`, a batch of one.  Signs are
     anchored on ``base.v_raw``: the dx-shift can dominate the corrected
     vectors near L = 0 and would flip signs spuriously.
     """
@@ -334,7 +450,7 @@ def _with_a_set(jet: Jet2, deg: DegeneracyData, a_indices: tuple[int, ...]) -> D
     """``deg`` rebuilt on another regular block of the same rank."""
     jets = JetBatch.of(jet)
     degs, error = _assemble(
-        jets, np.linalg.svd(jets.L2), deg.rank, a_indices, index_split(jet, a_indices)
+        jets, np.linalg.svd(jets.L2), deg.rank, a_indices, index_split(_dx_hat(jets)[0], a_indices)
     )
     if error is not None:
         raise error
@@ -368,11 +484,11 @@ def detect_rank_drop(
     """
     xs = np.array([pt.x for pt in pt_sequence])
     dxs = np.array([pt.dx for pt in pt_sequence])
-    svs = list(np.linalg.svd(compute_jets(spec, xs, dxs, validate=False).L2, compute_uv=False))
-    ranks = [_rank(sv, rank_tol) for sv in svs]
+    svs = np.linalg.svd(compute_jets(spec, xs, dxs, validate=False).L2, compute_uv=False)
+    ranks = _ranks(svs, rank_tol).tolist()
     transitions = [
         (k, ranks[k - 1], ranks[k])
         for k in range(1, len(ranks))
         if ranks[k] != ranks[k - 1]
     ]
-    return RankDropReport(ranks=ranks, sing_values=svs, transitions=transitions)
+    return RankDropReport(ranks=ranks, sing_values=list(svs), transitions=transitions)

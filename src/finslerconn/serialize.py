@@ -28,27 +28,43 @@ def fmt(value) -> str:
 _CONTROL = re.compile(r"[\x00-\x1f]")
 
 
+def _float_text(v: float) -> str:
+    """A Python float as :func:`to_json_text` writes it."""
+    return "%.17g" % v if math.isfinite(v) else "null"
+
+
 def to_json_text(obj, indent: int = 0) -> str:
-    """Render JSON with %.17g floats; dict order is insertion order."""
+    """Render JSON with %.17g floats; dict order is insertion order.
+
+    Python floats and ints (the items of ``ndarray.tolist()``) and numpy
+    arrays, the bulk of every document, are dispatched first; the bytes
+    are those of the general branches below."""
+    kind = type(obj)
+    if kind is float:
+        return _float_text(obj)
+    if kind is int:
+        return str(obj)
+    if isinstance(obj, np.ndarray):
+        return to_json_text(obj.tolist(), indent)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
         return "null"
     if isinstance(obj, str):
         text = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return '"' + _CONTROL.sub(lambda m: "\\u%04x" % ord(m.group()), text) + '"'
+        if not text.isprintable():  # may hold a control character
+            text = _CONTROL.sub(lambda m: "\\u%04x" % ord(m.group()), text)
+        return '"' + text + '"'
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return fmt(obj) if math.isfinite(obj) else "null"
-    if isinstance(obj, np.ndarray):
-        return to_json_text(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [to_json_text(v, indent + 1) for v in obj]
+        items = [_float_text(v) if type(v) is float else to_json_text(v, indent + 1) for v in obj]
         if all(len(s) < 24 and "\n" not in s for s in items):
             return "[" + ", ".join(items) + "]"
         return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"

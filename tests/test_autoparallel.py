@@ -21,7 +21,7 @@ from finslerconn.catalog import (
 )
 from finslerconn.dsl import evaluate, parse
 from finslerconn.errors import DegeneracyError, InvalidStateError
-from finslerconn.jet import TangentPoint
+from finslerconn.jet import Jet2, TangentPoint
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +388,55 @@ def test_admissibility_exit_returns_partial_trajectory():
     # the guard violation may surface at a node boundary or inside a stage
     assert "inadmissible" in traj.halt_reason or "guard" in traj.halt_reason
     assert 0 < len(traj.nodes) < 2001
+
+
+def _failing_at(fn, xs, error):
+    """``fn`` raising ``error`` when called on a single jet at one of ``xs``."""
+    def wrapper(jet, *args, **kwargs):
+        if isinstance(jet, Jet2) and any(np.array_equal(jet.x, x) for x in xs):
+            raise error
+        return fn(jet, *args, **kwargs)
+    return wrapper
+
+
+def test_node_reanalysis_failure_is_a_structured_halt(monkeypatch):
+    # node 3's frozen analysis fails, and so does the fresh analyze that
+    # replaces it: the run halts with nodes 0-2 instead of raising
+    entry = catalog_entry("second-class")
+    x0, dx0 = np.array([0.0, 0.8, 0.3]), np.array([1.0, 0.3, -0.8])
+
+    def run():
+        return integrate(entry.spec, x0, dx0, GaugeChoice.time(), steps=6, h=0.01)
+
+    x3 = run().nodes[3].x
+    error = DegeneracyError("injected failure")
+    for name in ("analyze_frozen", "analyze"):
+        monkeypatch.setattr(autoparallel, name, _failing_at(getattr(autoparallel, name), [x3], error))
+    traj = run()
+    assert traj.halt_reason == "DegeneracyError: injected failure"
+    assert len(traj.nodes) == 3
+
+
+def test_projection_linalg_failure_is_a_structured_halt(monkeypatch):
+    # the analyze of the first projected point meets a LinAlgError: the
+    # run halts before that node instead of raising
+    entry = catalog_entry("second-class")
+    x0 = np.array([0.0, 0.8, 0.3])
+    dx0 = np.array([1.0, x0[2], -x0[1]])
+
+    def run():
+        return integrate(entry.spec, x0, dx0, GaugeChoice.time(), steps=12, h=0.5,
+                         constraint_tol=1e-14, project=True)
+
+    clean = run()
+    first = min(k for k, e in clean.events if e == "projected")
+    projected_xs = [n.x for n in clean.nodes[first:]]
+    monkeypatch.setattr(autoparallel, "analyze", _failing_at(
+        autoparallel.analyze, projected_xs, np.linalg.LinAlgError("SVD did not converge")))
+    traj = run()
+    assert traj.halt_reason == "LinAlgError: SVD did not converge"
+    assert len(traj.nodes) == first
+    assert traj.projected_steps == 0
 
 
 # ---------------------------------------------------------------------------

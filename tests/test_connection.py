@@ -357,7 +357,8 @@ def test_curvature_takes_one_jet_pass_per_richardson_group(monkeypatch, name):
     count("compute_jets")
     count("analyze")
     curvature_torsion(entry.spec, pt, N=N)
-    assert calls == {"compute_jets": 2 * n1, "analyze": 8 * n1}
+    # one jet pass and one analyze per group
+    assert calls == {"compute_jets": 2 * n1, "analyze": 2 * n1}
 
 
 def _outcome(fn):
@@ -367,10 +368,35 @@ def _outcome(fn):
         return str(exc)
 
 
+def _assert_same_degs(batched, singles):
+    """Two outcomes of _outcome over lists of DegeneracyData: the same
+    error, or every field of every point with the same bits."""
+    if isinstance(singles, str):
+        assert batched == singles
+        return
+    for b, single in zip(batched, singles, strict=True):
+        for field in dataclasses.fields(single):
+            assert same_bits(getattr(b, field.name), getattr(single, field.name)), field.name
+
+
+def test_mixed_rank_batch_analyzes_like_its_points():
+    # frenkel has rank 1 where d3 = 0 and rank 2 elsewhere: one batch
+    # holds two branches, each split across the batch
+    spec = catalog_entry("frenkel").spec
+    dx = np.array([[1.0, 0.5, 0.4, 0.0], [1.0, 0.5, 0.4, 0.3],
+                   [1.0, 0.5, 0.4, 1e-4], [1.0, 0.5, 0.4, 0.0]])
+    jets = compute_jets(spec, np.tile([0.0, 0.1, -0.2, 0.0], (4, 1)), dx, validate=False)
+    degs = analyze(jets)
+    singles = [analyze(jet) for jet in jets]
+    assert [d.rank for d in singles] == [1, 2, 2, 1]
+    _assert_same_degs(degs, singles)
+
+
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
 def test_stacked_batches_match_single_points_bit_for_bit(entry):
     # the batch shapes of _c_gradients (1 + 4 n1 points) and of the
-    # Richardson stencils (4 n1), against each point as a batch of one
+    # Richardson stencils (4 n1), against each point as a batch of one;
+    # analyze of a batch against analyze of each point
     n1 = entry.spec.dimension
     eye = np.eye(n1)
     xs, dxs = sample_points(entry, 4, seed=47)
@@ -387,17 +413,14 @@ def test_stacked_batches_match_single_points_bit_for_bit(entry):
         stencil = ([x] * (4 * n1), [p for e in eye for p in _stencil(dx, h, e)])
         for bx, bdx in (gradients, stencil):
             jets = compute_jets(entry.spec, np.array(bx), np.array(bdx), validate=False)
+            _assert_same_degs(_outcome(lambda: analyze(jets)),
+                              _outcome(lambda: [analyze(jet) for jet in jets]))
             degs = _outcome(lambda: analyze_frozen(jets, base))
             singles = _outcome(lambda: [analyze_frozen(jet, base) for jet in jets])
             G = _outcome(lambda: _solve_G_batch(jets, base))
             G_singles = _outcome(lambda: [solve_G(j, analyze_frozen(j, base)).G for j in jets])
-            if isinstance(singles, str):
-                assert degs == singles
-            else:
-                for batched, single in zip(degs, singles, strict=True):
-                    for field in dataclasses.fields(single):
-                        name = field.name
-                        assert same_bits(getattr(batched, name), getattr(single, name)), name
+            _assert_same_degs(degs, singles)
+            if not isinstance(singles, str):
                 C = constraint_residuals(jets, degs)
                 for row, jet, single in zip(C, jets, singles, strict=True):
                     assert same_bits(row, constraint_residuals(jet, single))

@@ -25,7 +25,13 @@ through ``benchmark/run.py``'s loader, and the inputs come from
 - ``curvature_torsion`` at 3 sampled points of each catalog entry
   (``CURVATURE_POINTS``) and at two inputs where it refuses
   (``CURVATURE_REFUSALS``), with ``R``, ``N2`` and both steps, or the
-  error's type, message and detail.
+  error's type, message and detail;
+- ``connection._richardson_N`` on the Richardson groups of
+  ``tests/test_connection.py`` (``richardson_groups``: the dN/dx0 and
+  dN/d(dx1) groups of a sampled point of each catalog entry, and a
+  ``riemann-3d-generic`` group whose best regular block flips inside it),
+  with every field of each point's ``ConnectionData`` or the error's
+  type, message and detail.
 
 Run it on two checkouts and ``diff`` the outputs: no line may differ.
 """
@@ -219,6 +225,35 @@ def curvature_lines(pkg):
         yield f"curvature/{name}", digest(*parts)
 
 
+def richardson_groups(pkg):
+    """(name, spec, xs, dxs) of each group; the inputs of ``_groups`` in
+    ``tests/test_connection.py``."""
+    conn = pkg.connection
+    for entry in pkg.catalog.catalog():
+        xs, dxs = entry.sampler.sample(np.random.default_rng(404), 1, entry.spec,
+                                       for_connection=True)
+        x, dx = xs[0], dxs[0]
+        e = np.eye(entry.spec.dimension)
+        hx = conn.FD_STEP * (1.0 + abs(x[0]))
+        hd = conn.FD_STEP * float(np.linalg.norm(dx))
+        yield entry.name + "/x0", entry.spec, conn._stencil(x, hx, e[0]), [dx] * 4
+        yield entry.name + "/dx1", entry.spec, [x] * 4, conn._stencil(dx, hd, e[1])
+    x, dx = np.array([0.3, -0.2, 0.5]), np.array([0.6, 0.6, 0.4])
+    hd = conn.FD_STEP * float(np.linalg.norm(dx))
+    spec = pkg.catalog.catalog_entry("riemann-3d-generic").spec
+    yield "riemann-3d-generic/two-blocks", spec, [x] * 4, conn._stencil(dx, hd, np.eye(3)[1])
+
+
+def richardson_lines(pkg):
+    for name, spec, xs, dxs in richardson_groups(pkg):
+        try:
+            group = pkg.connection._richardson_N(spec, np.array(xs), np.array(dxs), 1e-9)
+            parts = tuple(p for c in group for p in fields_parts(c))
+        except Exception as exc:  # a refusal is an output too
+            parts = (*failure(exc), getattr(exc, "detail", None))
+        yield f"richardson/{name}", digest(*parts)
+
+
 def cli_failure_lines(pkg):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
@@ -247,6 +282,7 @@ def main() -> int:
     lines.extend(integrate_lines(pkg))
     lines.extend(resolve_lines(pkg))
     lines.extend(curvature_lines(pkg))
+    lines.extend(richardson_lines(pkg))
     for name, value in lines:
         print(name, value)
     return 0
