@@ -39,6 +39,7 @@ from .jet import (
     compute_jets,
 )
 from .degeneracy import (
+    DegeneracyBatch,
     DegeneracyData,
     RankDropReport,
     analyze,
