@@ -585,12 +585,12 @@ def integrate(
         # same rank: keep the previous index split and eigenvector signs so
         # labels (and any free-multiplier policy keyed on them) stay stable;
         # analyze afresh when the rank changes or the old block degrades
-        try:
-            deg_new = analyze_frozen(jet, deg)
-        except DegeneracyError:
-            deg_new = None
         projected = False
         try:
+            try:
+                deg_new = analyze_frozen(jet, deg)
+            except DegeneracyError:
+                deg_new = None
             if deg_new is None or _rank(deg_new.sing_values, rank_tol) != deg.rank:
                 deg_new = analyze(jet, rank_tol=rank_tol)
             deg_new, flips = _reanchor(deg_new, deg.v_raw)

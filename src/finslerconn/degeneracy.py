@@ -14,8 +14,8 @@ null-vector projector, block singularity test, inverse), into one
 :class:`DegeneracyBatch`; a batch raises what a loop over its points
 would raise first.  Its callers differ only in how they pick the branch:
 :func:`analyze` takes each point's rank from the singular values and its
-best invertible block by |det|, and assembles the points of each branch
-together; :func:`analyze_frozen` keeps the branch (rank, block, split and
+best invertible block by |det|, and assembles the points together when
+they share one branch (else it takes them one at a time); :func:`analyze_frozen` keeps the branch (rank, block, split and
 signs) of a base point's :class:`DegeneracyData` for a whole batch;
 ``_with_a_set`` swaps in another block for the regular-block retry of
 ``connection.solve_G``.  A single :class:`Jet2` is the batch of one.
@@ -24,6 +24,7 @@ signs) of a base point's :class:`DegeneracyData` for a whole batch;
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -85,7 +86,8 @@ class DegeneracyBatch(Sequence):
     ``zero_index`` and ``a_candidates``) are shared; the others are those
     of :class:`DegeneracyData` with a leading batch axis.  Stacked callers
     read the arrays; indexing by an integer yields that point's
-    :class:`DegeneracyData`, built on first access and kept.  Treat it as
+    :class:`DegeneracyData`, built on first access and kept, and by a
+    slice a list of them.  Treat it as
     read-only: it is not frozen only because a frozen dataclass takes
     several times longer to build, and the structural layer builds one per
     call.
@@ -126,8 +128,10 @@ class DegeneracyBatch(Sequence):
     def __len__(self) -> int:
         return self.gap_ratio.shape[0]
 
-    def __getitem__(self, i: int) -> DegeneracyData:
-        row = self._rows[i]
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        row = self._rows[operator.index(i)]
         if row is None:
             row = self._rows[i] = DegeneracyData(
                 rank=self.rank,
@@ -150,7 +154,8 @@ class DegeneracyBatch(Sequence):
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise a . b of two (B, n) stacks; each row has the bits of the
-    1-d ``a @ b`` (an ``axis=`` sum or ``einsum`` differs in the last bit)."""
+    1-d ``a @ b`` (an ``axis=`` sum or ``einsum`` differs in the last bit).
+    ``np.vecdot`` sets the numpy 2.0 floor of pyproject.toml."""
     return np.vecdot(a, b)
 
 
@@ -352,10 +357,11 @@ def analyze(jets: JetBatch | Jet2, rank_tol: float = 1e-9):
     ``jets`` is a single :class:`Jet2`, whose :class:`DegeneracyData` is
     returned, or a :class:`JetBatch`, analyzed in one stacked SVD, one
     stacked |det| ranking and block check per rank, and one stacked
-    assembly per branch (rank, block, index split and ``a_candidates``).
-    A batch on one branch yields a :class:`DegeneracyBatch`, a batch over
-    several a list of each point's :class:`DegeneracyData`; a batch raises
-    what a loop over its points would raise first.
+    assembly when all points share one branch (rank, block, index split
+    and ``a_candidates``); that yields a :class:`DegeneracyBatch`.  A batch
+    over several branches, or one with a failing point, is analyzed point
+    by point into a list of each point's :class:`DegeneracyData`, so it
+    raises what a loop over its points would raise first.
     """
     single = isinstance(jets, Jet2)
     batch = JetBatch.of(jets) if single else jets
@@ -387,41 +393,32 @@ def analyze(jets: JetBatch | Jet2, rank_tol: float = 1e-9):
     for b in range(B):
         if ranks[b] == n1:
             # dx must be in the null space of a 1-homogeneous metric
-            failed = (b, DegeneracyError(
+            failed = DegeneracyError(
                 f"direction Hessian has full rank {ranks[b]}; dx is not a null vector "
                 "(homogeneity defect upstream)", rank=ranks[b],
-            ))
+            )
             break
         if picks[b][1] is None:
-            failed = (b, DegeneracyError(
+            failed = DegeneracyError(
                 "no invertible coordinate block of the reduced size exists",
                 rank=ranks[b], best_det=picks[b][0],
-            ))
+            )
             break
-    dx_hat = _dx_hat(batch)
-    branches: dict = {}
-    for b in range(B if failed is None else failed[0]):
-        _, a_indices, candidates = picks[b]
-        key = (ranks[b], a_indices, index_split(dx_hat[b], a_indices), candidates)
-        branches.setdefault(key, []).append(b)
-    parts = []
-    for (rank, a_indices, split, candidates), pts in branches.items():
-        sub, sub_svd = (batch, svd) if len(pts) == B else (batch[pts], tuple(a[pts] for a in svd))
-        # the blocks passed a stricter test above, so _assemble skips its own
-        degs, error = _assemble(sub, sub_svd, rank, a_indices, split,
-                                a_candidates=candidates, block_checked=True)
-        if error is not None and (failed is None or pts[len(degs)] < failed[0]):
-            failed = (pts[len(degs)], error)
-        parts.append((pts, degs))
-    if failed is not None:
-        raise failed[1]
-    if len(parts) == 1:
-        degs = parts[0][1]
-    else:
-        degs = [None] * B
-        for pts, part in parts:
-            for b, deg in zip(pts, part):
-                degs[b] = deg
+    if failed is not None and single:
+        raise failed
+    if failed is None:
+        dx_hat = _dx_hat(batch)
+        branches = {(ranks[b], picks[b][1], index_split(dx_hat[b], picks[b][1]), picks[b][2])
+                    for b in range(B)}
+    if failed is not None or len(branches) > 1:
+        # point by point: a loop raises the same first error
+        return [analyze(jet, rank_tol=rank_tol) for jet in batch]
+    ((rank, a_indices, split, candidates),) = branches
+    # the blocks passed a stricter test above, so _assemble skips its own
+    degs, error = _assemble(batch, svd, rank, a_indices, split,
+                            a_candidates=candidates, block_checked=True)
+    if error is not None:
+        raise error
     return degs[0] if single else degs
 
 

@@ -84,7 +84,7 @@ class JetBatch(Sequence):
     out as the expression pass returns them (``mixed`` is a strided view;
     a contiguous copy would take another matmul kernel and change the
     last bits of ``mixed @ dx``).  Indexing by an integer yields that
-    point's :class:`Jet2`, by a slice or a list of indices a sub-batch.
+    point's :class:`Jet2`, by a slice a sub-batch.
     """
 
     x: np.ndarray  # (B, n+1)
@@ -107,7 +107,7 @@ class JetBatch(Sequence):
         return self.L.shape[0]
 
     def __getitem__(self, i):
-        if isinstance(i, (slice, list)):
+        if isinstance(i, slice):
             return JetBatch(**{f.name: getattr(self, f.name)[i] for f in fields(self)})
         return Jet2(
             x=self.x[i], dx=self.dx[i], L=float(self.L[i]), dL_dx=self.dL_dx[i],

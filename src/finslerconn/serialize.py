@@ -60,11 +60,11 @@ def to_json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return fmt(obj) if math.isfinite(obj) else "null"
+        return _float_text(float(obj))
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_float_text(v) if type(v) is float else to_json_text(v, indent + 1) for v in obj]
+        items = [to_json_text(v, indent + 1) for v in obj]
         if all(len(s) < 24 and "\n" not in s for s in items):
             return "[" + ", ".join(items) + "]"
         return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"

@@ -417,6 +417,23 @@ def test_node_reanalysis_failure_is_a_structured_halt(monkeypatch):
     assert len(traj.nodes) == 3
 
 
+def test_frozen_analysis_linalg_failure_is_a_structured_halt(monkeypatch):
+    # node 3's frozen analysis meets a LinAlgError, which the fresh
+    # analyze does not replace: the run halts with nodes 0-2
+    entry = catalog_entry("second-class")
+    x0, dx0 = np.array([0.0, 0.8, 0.3]), np.array([1.0, 0.3, -0.8])
+
+    def run():
+        return integrate(entry.spec, x0, dx0, GaugeChoice.time(), steps=6, h=0.01)
+
+    x3 = run().nodes[3].x
+    monkeypatch.setattr(autoparallel, "analyze_frozen", _failing_at(
+        autoparallel.analyze_frozen, [x3], np.linalg.LinAlgError("SVD did not converge")))
+    traj = run()
+    assert traj.halt_reason == "LinAlgError: SVD did not converge"
+    assert len(traj.nodes) == 3
+
+
 def test_projection_linalg_failure_is_a_structured_halt(monkeypatch):
     # the analyze of the first projected point meets a LinAlgError: the
     # run halts before that node instead of raising

@@ -25,7 +25,7 @@ from finslerconn.connection import (
     curvature_torsion,
     solve_G,
 )
-from finslerconn.degeneracy import _with_a_set, analyze, analyze_frozen
+from finslerconn.degeneracy import DegeneracyBatch, DegeneracyData, _with_a_set, analyze, analyze_frozen
 from finslerconn.dsl import metric_from_json, parse
 from finslerconn.errors import DegeneracyError, DomainError
 from finslerconn.jet import TangentPoint, compute_jet, compute_jets
@@ -390,6 +390,27 @@ def test_mixed_rank_batch_analyzes_like_its_points():
     singles = [analyze(jet) for jet in jets]
     assert [d.rank for d in singles] == [1, 2, 2, 1]
     _assert_same_degs(degs, singles)
+
+
+def test_degeneracy_batch_indexes_like_a_list_of_rows():
+    # a slice of an analyze_frozen result is the list of its rows, each
+    # built once; an index that is not an integer is refused
+    entry = catalog_entry("second-class")
+    xs, dxs = sample_points(entry, 4, seed=5)
+    jets = compute_jets(entry.spec, xs, dxs, validate=False)
+    base = analyze(jets[0])
+    degs = analyze_frozen(jets, base)
+    singles = [analyze_frozen(jet, base) for jet in jets]
+    assert isinstance(degs, DegeneracyBatch)
+    tail = degs[1:]
+    assert [type(d) for d in tail] == [DegeneracyData] * 3
+    _assert_same_degs(tail, singles[1:])
+    _assert_same_degs(degs[::-2], singles[::-2])
+    assert degs[-1] is degs[3] is tail[-1]
+    with pytest.raises(TypeError):
+        degs[1.0]
+    with pytest.raises(IndexError):
+        degs[4]
 
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
