@@ -18,7 +18,7 @@ from .errors import (
     InvalidStateError,
     ParseError,
 )
-from .taylor import Taylor2, lift
+from .taylor import Taylor2
 from .dsl import (
     Expr,
     MetricSpec,
@@ -49,8 +49,6 @@ from .degeneracy import (
 from .connection import (
     ConnectionData,
     CurvatureData,
-    EllBasis,
-    build_ell_basis,
     coefficients_N,
     curvature_torsion,
     solve_G,

@@ -38,7 +38,7 @@ from .connection import (
     constraint_residuals,
     moment_map,
 )
-from .degeneracy import DegeneracyData, _rank, analyze, analyze_frozen
+from .degeneracy import DegeneracyData, _ranks, analyze, analyze_frozen
 from .errors import (
     ConsistencyError,
     DegeneracyError,
@@ -525,6 +525,8 @@ def integrate(
     # copies: node 0 must not alias the caller's arrays
     x = np.array(x0, dtype=float)
     dx = np.array(dx0, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(dx))):
+        raise InvalidStateError(f"initial state must be finite: x {x.tolist()}, dx {dx.tolist()}")
     traj = Trajectory(gauge=gauge, h=h, steps_requested=steps, nodes=[], rank_tol=rank_tol)
     try:
         jet = compute_jet(spec, x=x, dx=dx)  # validates homogeneity identities
@@ -591,7 +593,7 @@ def integrate(
                 deg_new = analyze_frozen(jet, deg)
             except DegeneracyError:
                 deg_new = None
-            if deg_new is None or _rank(deg_new.sing_values, rank_tol) != deg.rank:
+            if deg_new is None or _ranks(deg_new.sing_values[None], rank_tol)[0] != deg.rank:
                 deg_new = analyze(jet, rank_tol=rank_tol)
             deg_new, flips = _reanchor(deg_new, deg.v_raw)
             pending_events.extend(flips)
@@ -645,10 +647,6 @@ class TransportResult:
     L_values: np.ndarray
     drift: float
     halt_reason: str | None = None
-
-    @property
-    def initial_norm(self) -> float:
-        return float(self.L_values[0])
 
 
 def _transport_rhs(

@@ -33,7 +33,7 @@ from .catalog import catalog, catalog_entry
 from .connection import coefficients_N, curvature_torsion
 from .degeneracy import analyze
 from .dsl import MetricSpec, metric_from_json, metric_to_json
-from .errors import ConsistencyError, FinslerError, InvalidStateError
+from .errors import FinslerError, InvalidStateError
 from .jet import TangentPoint, compute_jet
 from .serialize import to_json_text, trajectory_csv, trajectory_dict
 from .verify import render_report, run_verification
@@ -84,7 +84,10 @@ def _parse_vector(text: str, dimension: int, what: str) -> np.ndarray:
         raise InvalidStateError(
             f"{what} needs {dimension} comma-separated components, got {len(parts)}"
         )
-    return np.array([float(p) for p in parts])
+    values = np.array([float(p) for p in parts])
+    if not np.all(np.isfinite(values)):
+        raise InvalidStateError(f"{what} components must be finite, got {text!r}")
+    return values
 
 
 def _write_out(text: str, out: str | None):
@@ -155,20 +158,13 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def _make_gauge(name: str) -> GaugeChoice:
-    if name == "time":
-        return GaugeChoice.time()
-    if name == "arclength":
-        return GaugeChoice.arclength()
-    raise InvalidStateError(f"unknown gauge {name!r}")
-
-
 def cmd_geodesic(args) -> int:
     spec = _load_metric(args.metric)
     x = _parse_vector(args.x, spec.dimension, "--x")
     dx = _parse_vector(args.dx, spec.dimension, "--dx")
+    gauge = GaugeChoice.arclength() if args.gauge == "arclength" else GaugeChoice.time()
     traj = integrate(
-        spec, x, dx, _make_gauge(args.gauge),
+        spec, x, dx, gauge,
         steps=args.steps, h=args.h,
         rank_tol=args.rank_tol, project=args.project,
     )
@@ -291,6 +287,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, value):
+    """A ``--config`` value parsed as ``action`` parses its command-line
+    text: a flag takes a JSON boolean, a repeatable option a list of
+    values, and a value is a string (or, for an option with a ``type``, a
+    number) whose text goes through ``type`` and lies in ``choices``."""
+    error = InvalidStateError(f"--config value {value!r} is not valid for option {action.dest!r}")
+
+    def parse(item):
+        if not (isinstance(item, str) or (action.type is not None and type(item) in (int, float))):
+            raise error
+        try:
+            parsed = (action.type or str)(str(item))
+        except ValueError:
+            raise error from None
+        if action.choices is not None and parsed not in action.choices:
+            raise error
+        return parsed
+
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise error
+        return value
+    if isinstance(action, argparse._AppendAction):  # noqa: SLF001
+        if not isinstance(value, list):
+            raise error
+        return [parse(item) for item in value]
+    return parse(value)
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     # pull --config out first so its values become parser defaults
     probe = _Parser(add_help=False)
@@ -302,12 +327,13 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
             raise InvalidStateError("--config must contain a JSON object")
         values = {k.replace("-", "_"): v for k, v in values.items()}
         subparsers = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
-        options = {a.dest for sp in subparsers for a in sp._actions}  # noqa: SLF001
-        unknown = sorted(set(values) - options - {"help"})
+        actions = [a for sp in subparsers for a in sp._actions]  # noqa: SLF001
+        unknown = sorted(set(values) - {a.dest for a in actions})
         if unknown:
             raise InvalidStateError(f"--config keys match no option of any command: {unknown}")
+        parsed = {a.dest: _config_value(a, values[a.dest]) for a in actions if a.dest in values}
         for sp in subparsers:
-            sp.set_defaults(**values)
+            sp.set_defaults(**parsed)
     return argv
 
 
@@ -326,9 +352,6 @@ def main(argv: list[str] | None = None) -> int:
         # so numpy's floating-point warnings would only add noise to stderr
         with np.errstate(all="ignore"):
             return args.func(args)
-    except ConsistencyError as exc:
-        sys.stderr.write(_error_json(exc) + "\n")
-        return EXIT_HALT
     except FinslerError as exc:
         sys.stderr.write(_error_json(exc) + "\n")
         return EXIT_INPUT

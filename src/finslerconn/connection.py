@@ -28,8 +28,8 @@ from .degeneracy import (
     DegeneracyData,
     _assemble,
     _dot,
-    _first_failure,
     _norm,
+    _raise_first_failure,
     _with_a_set,
     analyze,
 )
@@ -37,10 +37,8 @@ from .errors import DegeneracyError, DomainError
 from .jet import Jet2, JetBatch, TangentPoint, compute_jets
 
 __all__ = [
-    "EllBasis",
     "ConnectionData",
     "CurvatureData",
-    "build_ell_basis",
     "solve_G",
     "coefficients_N",
     "curvature_torsion",
@@ -55,17 +53,6 @@ LAMBDA_BLOWUP_RATIO = 1e4
 # Richardson step relative to the differentiated argument: |dx| for N and
 # the direction derivatives of N, 1 + |x_b| for the x-derivatives of N
 FD_STEP = 1e-4
-
-
-@dataclass(frozen=True)
-class EllBasis:
-    """Adapted frame {ell_0, ell_I, ell_a}; rows of ``matrix`` in that order."""
-
-    ell0: np.ndarray
-    ellI: np.ndarray  # (D, n+1)
-    ella: np.ndarray  # (n-D, n+1)
-    matrix: np.ndarray
-    det: float
 
 
 @dataclass(frozen=True)
@@ -139,9 +126,11 @@ def _l_floor(jets: JetBatch) -> np.ndarray:
 
 
 def _frames(jets: JetBatch, degs: DegeneracyBatch) -> dict:
-    """The adapted frames of a batch on one branch, stacked (``ell0``,
-    ``ellI``, ``ella``, ``matrix``, ``det``); raises what a per-point loop
-    raises first: a vanishing metric value, then a degenerate frame."""
+    """The adapted frames {ell_0, ell_I, ell_a} of a batch on one branch,
+    stacked (``ell0``, ``ellI``, ``ella``, ``matrix`` with rows in that
+    order, ``det``); p.ell_0 = 1 and p annihilates the other rows.  Raises
+    what a per-point loop raises first: a vanishing metric value, then a
+    degenerate frame (an ill-chosen regular block)."""
     B, n1 = jets.dx.shape
     a_indices = degs.a_indices
     vanishing = np.abs(jets.L) <= _l_floor(jets)
@@ -155,7 +144,7 @@ def _frames(jets: JetBatch, degs: DegeneracyBatch) -> dict:
     det = np.linalg.det(matrix)
     # np.prod(np.linalg.norm(matrix, axis=2), axis=1) without the wrappers' overhead
     scale = np.multiply.reduce(np.sqrt(np.add.reduce(matrix * matrix, axis=2)), axis=1)
-    failed = _first_failure([
+    _raise_first_failure([
         (vanishing, lambda b: DegeneracyError(
             "metric value vanishes at this point; the flow-normalized frame "
             "ell_0 = dx/L is undefined", L=float(jets.L[b]),
@@ -165,23 +154,7 @@ def _frames(jets: JetBatch, degs: DegeneracyBatch) -> dict:
             det=float(det[b]), a_indices=a_indices,
         )),
     ])
-    if failed is not None:
-        raise failed[1]
     return {"ell0": ell0, "ellI": degs.v, "ella": ella, "matrix": matrix, "det": det}
-
-
-def build_ell_basis(jet: Jet2, deg: DegeneracyData) -> EllBasis:
-    """Assemble the adapted frame; requires L != 0 at the point.
-
-    By construction p.ell_0 = 1 and p annihilates every other frame vector
-    (up to the recorded correction defects).  A near-zero determinant
-    signals an ill-chosen regular block and raises.
-    """
-    f = _frames(JetBatch.of(jet), DegeneracyBatch.of(deg))
-    return EllBasis(
-        ell0=f["ell0"][0], ellI=f["ellI"][0], ella=f["ella"][0], matrix=f["matrix"][0],
-        det=float(f["det"][0]),
-    )
 
 
 def _spray(jets: JetBatch, degs: DegeneracyBatch, lamI: np.ndarray) -> dict:
@@ -278,23 +251,28 @@ def _solve_G_batch(
 ) -> np.ndarray:
     """Spray at the points of ``jets`` on ``base``'s branch, one row each.
 
-    The structure and the spray each take one stacked pass.  The batch
-    raises what a per-point loop of :func:`analyze_frozen` and
-    :func:`solve_G` raises first: such a loop checks each point's spray
-    before the next point's structure, so the points before the first
-    structural failure get their spray checked first.  ``anchors``, one
-    ``v_raw`` per point, fix the null-vector signs (default: ``base``'s
-    for every point).
+    The structure and the spray each take one stacked pass.  ``anchors``,
+    one ``v_raw`` per point, fix the null-vector signs (default: ``base``'s
+    for every point).  The batch raises what a per-point loop of
+    :func:`analyze_frozen` and :func:`solve_G` raises first.  Such a loop
+    checks each point's spray before the next point's structure, so a
+    failing stacked pass is replayed one point at a time.
     """
-    degs, error = _assemble(
-        jets, np.linalg.svd(jets.L2), base.rank, base.a_indices,
-        (base.zero_index, base.I_indices), anchors=base.v_raw if anchors is None else anchors,
-    )
-    if degs:
-        G = _spray(jets[: len(degs)], degs, np.zeros((len(degs), base.D)))["G"]
-    if error is not None:
-        raise error
-    return G
+    shape = (len(jets), *base.v_raw.shape)
+    anchors = np.broadcast_to(base.v_raw if anchors is None else anchors, shape)
+
+    def spray(rows: slice) -> np.ndarray:
+        batch = jets[rows]
+        degs = _assemble(batch, np.linalg.svd(batch.L2), base.rank, base.a_indices,
+                         (base.zero_index, base.I_indices), anchors=anchors[rows])
+        return _spray(batch, degs, np.zeros((len(batch), base.D)))["G"]
+
+    try:
+        return spray(slice(None))
+    except DegeneracyError:
+        for k in range(len(jets)):
+            spray(slice(k, k + 1))
+        raise
 
 
 def _richardson_N(

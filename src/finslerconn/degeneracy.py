@@ -165,9 +165,9 @@ def _norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(a, a))
 
 
-def _first_failure(checks) -> tuple[int, Exception] | None:
-    """The failure a per-point loop over the batch meets first: the lowest
-    failing point, at its first failing check.  ``checks`` lists
+def _raise_first_failure(checks) -> None:
+    """Raise the failure a per-point loop over the batch meets first: the
+    lowest failing point, at its first failing check.  ``checks`` lists
     (failure mask over the batch, error factory of the point) in the
     per-point check order."""
     first = None
@@ -176,7 +176,8 @@ def _first_failure(checks) -> tuple[int, Exception] | None:
             hit = int(mask.argmax())
             if first is None or hit < first[0]:
                 first = (hit, error)
-    return None if first is None else (first[0], first[1](first[0]))
+    if first is not None:
+        raise first[1](first[0])
 
 
 def null_vectors(
@@ -194,11 +195,11 @@ def null_vectors(
     vectors, which stay smooth across surfaces where L vanishes and feed
     every dx-shift-invariant formula), ``correction_skipped`` and
     ``p_residuals`` (|p.v|/|p| after the shift) with a leading batch
-    axis, and one :func:`_first_failure` check per I axis: the axis has
-    no null-space component.  ``Vt`` holds the right singular vectors of
-    ``jets.L2``; ``anchors`` fix the signs, one ``(len(I_indices), n+1)``
-    set for every point or one such set per point; without them the signs
-    are deterministic.
+    axis, and one :func:`_raise_first_failure` check per I axis: the axis
+    has no null-space component.  ``Vt`` holds the right singular vectors
+    of ``jets.L2``; ``anchors`` fix the signs, one ``(len(I_indices),
+    n+1)`` set for every point or one such set per point; without them the
+    signs are deterministic.
     """
     B, n1 = jets.dx.shape
     nI = len(I_indices)
@@ -271,11 +272,6 @@ def _ranks(sv: np.ndarray, rank_tol: float) -> np.ndarray:
     return np.add.reduce(sv > rank_tol * sv[:, :1], axis=1)
 
 
-def _rank(sv: np.ndarray, rank_tol: float) -> int:
-    """:func:`_ranks` of one spectrum."""
-    return int(_ranks(sv[None], rank_tol)[0])
-
-
 def _assemble(
     jets: JetBatch,
     svd: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -285,18 +281,16 @@ def _assemble(
     anchors: np.ndarray | None = None,
     a_candidates: tuple[tuple[int, ...], ...] | None = None,
     block_checked: bool = False,
-) -> tuple[DegeneracyBatch, DegeneracyError | None]:
+) -> DegeneracyBatch:
     """The structure of the points of ``jets`` at one rank, regular block
     and index split (zero_index, I_indices), in stacked numpy calls.
 
     ``svd`` is ``np.linalg.svd(jets.L2)``; ``anchors`` fix the null-vector
     signs; ``block_checked`` skips the singular-block test for blocks the
-    caller has already found invertible.  Returns the
-    :class:`DegeneracyBatch` of the points before the first failing one
-    and that point's error (None when every point passes), so that a
-    batch raises what a per-point loop raises first: the missing
-    null-space component of an I axis (in axis order), then a numerically
-    singular block.
+    caller has already found invertible.  When a point fails, the batch
+    raises that point's error and builds nothing: what a per-point loop
+    raises first, the missing null-space component of an I axis (in axis
+    order), then a numerically singular block.
     """
     _, sv, Vt = svd
     B, n1 = jets.dx.shape
@@ -319,28 +313,26 @@ def _assemble(
                 "transition nearby)", a_indices=a_indices, gap=float(gap[b]),
             ),
         ))
-    failed = _first_failure(checks)
-    ok = slice(None) if failed is None else slice(failed[0])
+    _raise_first_failure(checks)
     L2_dx = (jets.L2 @ jets.dx[:, :, None])[:, :, 0]
     scale = smax * _norm(jets.dx)
     defect = np.divide(_norm(L2_dx), scale, out=np.zeros(B), where=smax > 0)
-    degs = DegeneracyBatch(
+    return DegeneracyBatch(
         rank=rank,
         D=n1 - 1 - rank,
         a_indices=a_indices,
         I_indices=I_indices,
         zero_index=zero_index,
         a_candidates=(a_indices,) if a_candidates is None else a_candidates,
-        v=nulls["v"][ok],
-        v_raw=nulls["v_raw"][ok],
-        Lab_inv=np.linalg.inv(blocks[ok]) if rank > 0 else np.zeros((B, 0, 0))[ok],
-        sing_values=sv[ok],
-        gap_ratio=gap[ok],
-        p_residuals=nulls["p_residuals"][ok],
-        correction_skipped=nulls["correction_skipped"][ok],
-        dx_null_defect=defect[ok],
+        v=nulls["v"],
+        v_raw=nulls["v_raw"],
+        Lab_inv=np.linalg.inv(blocks) if rank > 0 else np.zeros((B, 0, 0)),
+        sing_values=sv,
+        gap_ratio=gap,
+        p_residuals=nulls["p_residuals"],
+        correction_skipped=nulls["correction_skipped"],
+        dx_null_defect=defect,
     )
-    return degs, None if failed is None else failed[1]
 
 
 def analyze(jets: JetBatch | Jet2, rank_tol: float = 1e-9):
@@ -359,9 +351,9 @@ def analyze(jets: JetBatch | Jet2, rank_tol: float = 1e-9):
     stacked |det| ranking and block check per rank, and one stacked
     assembly when all points share one branch (rank, block, index split
     and ``a_candidates``); that yields a :class:`DegeneracyBatch`.  A batch
-    over several branches, or one with a failing point, is analyzed point
-    by point into a list of each point's :class:`DegeneracyData`, so it
-    raises what a loop over its points would raise first.
+    over several branches is analyzed point by point into a list of each
+    point's :class:`DegeneracyData`.  A batch raises what a loop over its
+    points would raise first.
     """
     single = isinstance(jets, Jet2)
     batch = JetBatch.of(jets) if single else jets
@@ -389,36 +381,32 @@ def analyze(jets: JetBatch | Jet2, rank_tol: float = 1e-9):
             best = next((c for c in ranked if ok[c]), None)
             picks[b] = (det[ranked[0]], None if best is None else combos[best],
                         tuple(combos[c] for c in ranked[:8]))
-    failed = None
     for b in range(B):
         if ranks[b] == n1:
             # dx must be in the null space of a 1-homogeneous metric
-            failed = DegeneracyError(
+            error = DegeneracyError(
                 f"direction Hessian has full rank {ranks[b]}; dx is not a null vector "
                 "(homogeneity defect upstream)", rank=ranks[b],
             )
-            break
-        if picks[b][1] is None:
-            failed = DegeneracyError(
+        elif picks[b][1] is None:
+            error = DegeneracyError(
                 "no invertible coordinate block of the reduced size exists",
                 rank=ranks[b], best_det=picks[b][0],
             )
-            break
-    if failed is not None and single:
-        raise failed
-    if failed is None:
-        dx_hat = _dx_hat(batch)
-        branches = {(ranks[b], picks[b][1], index_split(dx_hat[b], picks[b][1]), picks[b][2])
-                    for b in range(B)}
-    if failed is not None or len(branches) > 1:
-        # point by point: a loop raises the same first error
+        else:
+            continue
+        if b:  # a loop over the points analyzes the earlier ones first
+            analyze(batch[:b], rank_tol=rank_tol)
+        raise error
+    dx_hat = _dx_hat(batch)
+    branches = {(ranks[b], picks[b][1], index_split(dx_hat[b], picks[b][1]), picks[b][2])
+                for b in range(B)}
+    if len(branches) > 1:
         return [analyze(jet, rank_tol=rank_tol) for jet in batch]
     ((rank, a_indices, split, candidates),) = branches
     # the blocks passed a stricter test above, so _assemble skips its own
-    degs, error = _assemble(batch, svd, rank, a_indices, split,
-                            a_candidates=candidates, block_checked=True)
-    if error is not None:
-        raise error
+    degs = _assemble(batch, svd, rank, a_indices, split,
+                     a_candidates=candidates, block_checked=True)
     return degs[0] if single else degs
 
 
@@ -434,24 +422,19 @@ def analyze_frozen(jets: JetBatch | Jet2, base: DegeneracyData):
     """
     single = isinstance(jets, Jet2)
     batch = JetBatch.of(jets) if single else jets
-    degs, error = _assemble(
+    degs = _assemble(
         batch, np.linalg.svd(batch.L2), base.rank, base.a_indices,
         (base.zero_index, base.I_indices), anchors=base.v_raw,
     )
-    if error is not None:
-        raise error
     return degs[0] if single else degs
 
 
 def _with_a_set(jet: Jet2, deg: DegeneracyData, a_indices: tuple[int, ...]) -> DegeneracyData:
     """``deg`` rebuilt on another regular block of the same rank."""
     jets = JetBatch.of(jet)
-    degs, error = _assemble(
+    return _assemble(
         jets, np.linalg.svd(jets.L2), deg.rank, a_indices, index_split(_dx_hat(jets)[0], a_indices)
-    )
-    if error is not None:
-        raise error
-    return degs[0]
+    )[0]
 
 
 @dataclass

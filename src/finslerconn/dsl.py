@@ -609,9 +609,8 @@ def eval_taylor(
         seeds[rows[mask], slot[mask]] = 1.0
         return Taylor2.seeded(dx_vals[:, node.index], seeds)
 
+    # every leaf is a Taylor2, so the result is one
     out = _eval_node(expr, leaves, is_taylor=True)
-    if not isinstance(out, Taylor2):  # constant expression
-        out = Taylor2.constant(np.broadcast_to(np.asarray(out, float), (b,)), k)
     if not (
         np.all(np.isfinite(out.val))
         and np.all(np.isfinite(out.grad))
@@ -652,22 +651,9 @@ def require_admissible(spec: MetricSpec, x: np.ndarray, dx: np.ndarray):
             )
 
 
-def evaluate(spec: MetricSpec, x, dx, scalar_kind: str = "real"):
-    """Evaluate L(x, dx).
-
-    ``scalar_kind`` is ``"real"`` for a plain float or ``"taylor2"`` for a
-    second-order scalar seeded in all differentials (slot i for ``d i``).
-    """
+def evaluate(spec: MetricSpec, x, dx) -> float:
+    """Evaluate L(x, dx) at one admissible point."""
     x = np.asarray(x, dtype=float)
     dx = np.asarray(dx, dtype=float)
     require_admissible(spec, x, dx)
-    if scalar_kind == "real":
-        return float(eval_values(spec.expr, spec.params, x[None, :], dx[None, :])[0])
-    if scalar_kind == "taylor2":
-        n1 = spec.dimension
-        diff_seeds = np.arange(n1, dtype=int)[None, :]
-        coord_seeds = -np.ones((1, n1), dtype=int)
-        return eval_taylor(
-            spec.expr, spec.params, x[None, :], dx[None, :], diff_seeds, coord_seeds
-        )
-    raise ValueError(f"unknown scalar kind {scalar_kind!r}")
+    return float(eval_values(spec.expr, spec.params, x[None, :], dx[None, :])[0])

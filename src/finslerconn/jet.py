@@ -35,10 +35,6 @@ class TangentPoint:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def dimension(self) -> int:
-        return self.x.shape[0]
-
 
 @dataclass(frozen=True)
 class Jet2:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["Taylor2", "lift"]
+__all__ = ["Taylor2"]
 
 
 def _as_batch(values) -> np.ndarray:
@@ -226,18 +226,3 @@ class Taylor2:
     def __abs__(self):
         return self.abs()
 
-
-def lift(value: float, seed_index: int | None = None, num_seeds: int = 1) -> Taylor2:
-    """Lift a plain real into a single-point Taylor scalar.
-
-    With ``seed_index`` set, the result has a unit derivative in that slot
-    and a zero Hessian; without it the result is a constant.
-    """
-    if num_seeds < 0:
-        raise ValueError("num_seeds must be non-negative")
-    if seed_index is not None and not 0 <= seed_index < num_seeds:
-        raise ValueError(f"seed_index {seed_index} out of range for {num_seeds} seeds")
-    rows = np.zeros((1, num_seeds))
-    if seed_index is not None:
-        rows[0, seed_index] = 1.0
-    return Taylor2.seeded(np.asarray([float(value)]), rows)

@@ -19,9 +19,10 @@ from finslerconn.catalog import (
     levi_civita_transport,
     oscillator_oracle,
 )
+from finslerconn.degeneracy import analyze
 from finslerconn.dsl import evaluate, parse
-from finslerconn.errors import DegeneracyError, InvalidStateError
-from finslerconn.jet import Jet2, TangentPoint
+from finslerconn.errors import DegeneracyError, DomainError, InvalidStateError
+from finslerconn.jet import Jet2, TangentPoint, compute_jet
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,10 @@ def test_frenkel_on_surface_multipliers_all_free():
      InvalidStateError, "custom gauge requires lambda0_fn"),
     ("frenkel", [0.0, 0.1, -0.2, 0.0], [1.0, 0.5, 0.4, 1.19e-5], GaugeChoice.time(),
      DegeneracyError, r"coordinate block \(2, 3\) became singular"),
+    ("euclidean-2", [0.0, 0.0], [0.0, 1.0], GaugeChoice.time(),
+     InvalidStateError, "time gauge requires a nonzero 0-th velocity component"),
+    ("euclidean-2", [0.0, 0.0], [0.6, 0.8], GaugeChoice("bogus"),
+     ValueError, "unknown gauge kind 'bogus'"),
 ])
 def test_gauge_row_errors_and_their_order(name, x, dx, gauge, error, message):
     with pytest.raises(error, match=message):
@@ -344,6 +349,17 @@ def test_step_size_must_be_finite_and_positive(h):
         integrate(entry.spec, [1.2, 0.3], [0.6, 0.5], GaugeChoice.time(), steps=3, h=h)
 
 
+@pytest.mark.parametrize("name, x0, dx0, steps, message", [
+    ("riemann-2d-curved", [1.2, 0.3], [0.6, 0.5], 0, "steps must be at least 1"),
+    ("euclidean-2", [0.0, 0.0], [0.0, 1.0], 3, r"time gauge requires dx0\[0\] != 0"),
+    ("riemann-2d-curved", [1.2, np.nan], [1.0, 0.0], 2, "initial state must be finite"),
+    ("riemann-2d-curved", [1.2, 0.3], [np.inf, 0.5], 2, "initial state must be finite"),
+])
+def test_invalid_initial_input_raises(name, x0, dx0, steps, message):
+    with pytest.raises(InvalidStateError, match=message):
+        integrate(catalog_entry(name).spec, x0, dx0, GaugeChoice.time(), steps=steps, h=1e-2)
+
+
 def test_integrate_copies_its_inputs():
     entry = catalog_entry("riemann-2d-curved")
     x0 = np.array([1.2, 0.3])
@@ -388,6 +404,40 @@ def test_admissibility_exit_returns_partial_trajectory():
     # the guard violation may surface at a node boundary or inside a stage
     assert "inadmissible" in traj.halt_reason or "guard" in traj.halt_reason
     assert 0 < len(traj.nodes) < 2001
+
+
+def test_overflowing_step_halts_with_a_non_finite_state():
+    # the first step takes x0 from 1.7e308 past the largest float
+    spec = catalog_entry("euclidean-2").spec
+    with np.errstate(over="ignore"):
+        traj = integrate(spec, [1.7e308, 0.0], [1.0, 0.0], GaugeChoice.arclength(),
+                         steps=3, h=1e307)
+    assert traj.halt_reason == "non-finite state"
+    assert len(traj.nodes) == 1
+
+
+def test_inadmissible_node_is_a_structured_halt():
+    # dx' = 4 dx: with h = 1 the RK4 stages sit at d0 = 1, 3, 7 and 29,
+    # inside the guard d0 < 30, but the step's node lands at d0 = 34.33
+    spec = parse("sqrt(d0^2 + d1^2)", dimension=2, guard="30 - d0")
+    gauge = GaugeChoice.custom(lambda x, dx: 4.0 * float(np.linalg.norm(dx)))
+    traj = integrate(spec, [0.0, 0.0], [1.0, 0.0], gauge, steps=3, h=1.0)
+    assert [dx[0] for _, dx in traj._stages[0]] == [1.0, 3.0, 7.0, 29.0]
+    assert traj.halt_reason.startswith("inadmissible: guard violated: value -4.33")
+    assert len(traj.nodes) == 1
+
+
+def test_reanchor_follows_the_signs_of_the_previous_node():
+    entry = catalog_entry("second-class")
+    deg = analyze(compute_jet(entry.spec, x=[0.0, 0.8, 0.3], dx=[1.0, 0.3, -0.8]))
+    assert deg.D == 2
+    flipped, events = autoparallel._reanchor(deg, -deg.v_raw)
+    assert events == []
+    assert np.array_equal(flipped.v, -deg.v)
+    assert np.array_equal(flipped.v_raw, -deg.v_raw)
+    kept, events = autoparallel._reanchor(deg, deg.v_raw)
+    assert events == []
+    assert np.array_equal(kept.v, deg.v)
 
 
 def _failing_at(fn, xs, error):
@@ -517,6 +567,13 @@ def test_transport_needs_the_stage_record():
         parallel_transport(entry.spec, by_hand, np.array([0.3, 0.1]))
 
 
+def test_transport_needs_a_node():
+    entry = catalog_entry("euclidean-2")
+    empty = Trajectory(gauge=GaugeChoice.time(), h=0.05, steps_requested=5, nodes=[])
+    with pytest.raises(InvalidStateError, match="trajectory has no node"):
+        parallel_transport(entry.spec, empty, np.array([0.3, 0.1]))
+
+
 def test_transport_of_a_halted_curve_stops_at_its_last_node():
     # the guard-exit curve of test_admissibility_exit_returns_partial_trajectory
     entry = catalog_entry("riemann-2d-curved")
@@ -600,6 +657,49 @@ def test_transport_failure_is_a_structured_halt():
     assert 1 <= len(res.Z) < len(traj.nodes)
     assert len(res.L_values) == len(res.Z)
     np.testing.assert_array_equal(res.Z[0], Z0)
+
+
+@pytest.mark.parametrize("rate, reason", [
+    (np.inf, "non-finite state"),
+    (-1e3, "transported vector leaves the admissible cone: guard violated"),
+])
+def test_transport_node_checks_are_structured_halts(monkeypatch, rate, reason):
+    # the second step's stage rates are all `rate`: Z leaves the finite
+    # numbers, or its d0 falls below the d0 > 0 guard, at node 2
+    entry = catalog_entry("potential-system")
+    x0 = np.array([0.0, 0.2, -0.1, 0.1])
+    dx0 = np.array([1.0, 0.5, 0.3, -0.2])
+    traj = integrate(entry.spec, x0, dx0, GaugeChoice.time(), steps=4, h=1e-2)
+    rhs = autoparallel._transport_rhs
+    calls = []
+
+    def second_step_off(spec, x, Z, *args):
+        calls.append(x)
+        return rhs(spec, x, Z, *args) if len(calls) <= 4 else np.full(len(Z), rate)
+
+    monkeypatch.setattr(autoparallel, "_transport_rhs", second_step_off)
+    res = parallel_transport(entry.spec, traj, np.array([1.0, 0.0, 0.0, 0.0]))
+    assert res.halt_reason.startswith(reason)
+    assert len(res.Z) == len(res.L_values) == 2
+
+
+def test_transport_rhs_checks_its_point_before_its_stencil(monkeypatch):
+    # (x, Z) lies inside d0 > 0, but the stencil direction Z + s v with
+    # s = 6.9e-5 does not: (x, Z) is analyzed alone, then the stencil's
+    # guard violation is raised
+    spec = catalog_entry("potential-system").spec
+    x = np.array([0.0, 0.5, -0.3, 0.2])
+    Z = np.array([1e-9, 0.5, 0.4, 0.3])
+    analyzed = []
+
+    def recording(jet, **kwargs):
+        analyzed.append(jet.dx)
+        return analyze(jet, **kwargs)
+
+    monkeypatch.setattr(autoparallel, "analyze", recording)
+    with pytest.raises(DomainError, match="guard violated"):
+        autoparallel._transport_rhs(spec, x, Z, np.array([-1.0, 0.1, 0.2, -0.1]), 1e-9)
+    assert len(analyzed) == 1 and np.array_equal(analyzed[0], Z)
 
 
 def test_custom_gauge_with_zero_multiplier_matches_arclength():

@@ -6,9 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from finslerconn import verify
-from finslerconn.catalog import catalog_entry
+from finslerconn import cli, verify
+from finslerconn.catalog import catalog, catalog_entry
 from finslerconn.cli import main
+from finslerconn.errors import DegeneracyError, InvalidStateError
 
 
 def run_cli(capsys, *argv):
@@ -171,6 +172,25 @@ def test_inspect_bad_point_exit_2(capsys):
     assert payload["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["geodesic", "--metric", "riemann-2d-curved", "--x", "1.2,0.3", "--dx", "0.6,0.5",
+      "--steps", "0"], "InvalidStateError"),
+    (["inspect", "--metric", "euclidean-2", "--x", "0,0,0", "--dx", "1,0"], "InvalidStateError"),
+    (["inspect", "--metric", "euclidean-2", "--x", "nan,0", "--dx", "1,0"], "InvalidStateError"),
+    (["geodesic", "--metric", "riemann-2d-curved", "--x", "1.2,nan", "--dx", "1,0",
+      "--steps", "2"], "InvalidStateError"),
+    (["inspect", "--metric", "/nonexistent/m.json", "--x", "0,0", "--dx", "1,0"],
+     "FileNotFoundError"),
+    (["inspect", "--metric", "euclidean-2", "--x", "0,abc", "--dx", "1,0"], "ValueError"),
+])
+def test_input_error_exit_2_with_one_json_line(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"] == error
+
+
 @pytest.mark.parametrize("rank_tol", ["nan", "1", "-1e-9"])
 def test_inspect_rank_tol_outside_unit_interval_exit_2(capsys, rank_tol):
     code, out, err = run_cli(
@@ -318,6 +338,17 @@ def test_geodesic_halt_exit_3_with_partial_output(tmp_path, capsys):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "TrajectoryHalt"
 
 
+def test_geodesic_overflow_halt_exit_3(capsys):
+    # the first step takes x0 from 1.7e308 past the largest float
+    code, out, err = run_cli(
+        capsys, "geodesic", "--metric", "euclidean-2", "--x", "1.7e308,0", "--dx", "1,0",
+        "--gauge", "arclength", "--h", "1e308",
+    )
+    assert code == 3
+    assert len(out.strip().splitlines()) == 2  # the header and node 0
+    assert json.loads(err) == {"error": "TrajectoryHalt", "message": "non-finite state"}
+
+
 def test_geodesic_json_format(tmp_path, capsys):
     out_path = tmp_path / "traj.json"
     code, _, _ = run_cli(
@@ -373,6 +404,21 @@ def test_verify_norm_conservation_fails_on_halted_transport(monkeypatch):
     assert not order_check.passed
 
 
+def test_verify_reports_a_raising_check_as_an_error_line(monkeypatch):
+    # the first check of each catalog entry and extra metric raises, so
+    # each ends in one error line and runs no further check
+    def raising(entry, points):
+        raise DegeneracyError(f"injected at {entry.name}")
+
+    monkeypatch.setattr(verify, "_check_metric_homogeneity", raising)
+    results = verify.run_verification(extra_metrics=[("mine", catalog_entry("euclidean-2").spec)])
+    names = [f"error/{e.name}" for e in catalog()] + ["error/extra:mine"]
+    assert [r.name for r in results] == names
+    assert not any(r.passed for r in results)
+    assert results[-1].detail == "DegeneracyError: injected at extra:mine"
+    assert "FAIL  error/frenkel" in verify.render_report(results)
+
+
 def test_verify_determinism_bytes(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--only", "degeneracy")
     code2, out2, _ = run_cli(capsys, "verify", "--only", "degeneracy")
@@ -418,6 +464,31 @@ def test_config_file_provides_defaults(tmp_path, capsys):
     assert len(out_path.read_text().strip().splitlines()) == 6
 
 
+def test_config_values_parse_like_their_flags(tmp_path, capsys):
+    # a number's text through the option's type, a choice, a JSON boolean
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"steps": "2", "h": 1, "format": "json", "project": False}))
+    code, out, _ = run_cli(
+        capsys, "--config", str(cfg), "geodesic", "--metric", "euclidean-2",
+        "--x", "0,0", "--dx", "0.6,0.8",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["steps_requested"], doc["h"], len(doc["nodes"])) == (2, 1.0, 3)
+
+
+def test_config_repeatable_option_takes_a_list(tmp_path):
+    cfg = tmp_path / "run.json"
+    argv = ["--config", str(cfg), "verify"]
+    cfg.write_text(json.dumps({"extra_metric": ["a.json", "b.json"]}))
+    parser = cli.build_parser()
+    cli._apply_config(parser, argv)
+    assert parser.parse_args(argv).extra_metric == ["a.json", "b.json"]
+    cfg.write_text(json.dumps({"extra_metric": "a.json"}))
+    with pytest.raises(InvalidStateError, match="not valid for option 'extra_metric'"):
+        cli._apply_config(cli.build_parser(), argv)
+
+
 def test_config_unknown_key_exit_2(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"bogus_key": 1}))
@@ -429,8 +500,18 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
     assert "bogus_key" in payload["message"]
 
 
-@pytest.mark.parametrize("content, error", [("{bad", "JSONDecodeError"),
-                                            (None, "FileNotFoundError")])
+@pytest.mark.parametrize("content, error", [
+    ("{bad", "JSONDecodeError"),
+    (None, "FileNotFoundError"),
+    ("[1, 2]", "InvalidStateError"),
+    # each value is parsed as its option parses its command-line text
+    ('{"steps": 2.5}', "InvalidStateError"),
+    ('{"steps": [3]}', "InvalidStateError"),
+    ('{"h": [1]}', "InvalidStateError"),
+    ('{"out": 5}', "InvalidStateError"),
+    ('{"format": "xml"}', "InvalidStateError"),
+    ('{"project": "no"}', "InvalidStateError"),
+])
 def test_config_unreadable_exit_2(tmp_path, capsys, content, error):
     cfg = tmp_path / "run.json"
     if content is not None:

@@ -13,13 +13,14 @@ from finslerconn.catalog import (
     christoffel_oracle,
     riemann_tensor,
 )
+from finslerconn import connection
 from finslerconn.autoparallel import C_FD_SCALE
 from finslerconn.connection import (
     FD_STEP,
+    _frames,
     _richardson_N,
     _solve_G_batch,
     _stencil,
-    build_ell_basis,
     coefficients_N,
     constraint_residuals,
     curvature_torsion,
@@ -28,7 +29,7 @@ from finslerconn.connection import (
 from finslerconn.degeneracy import DegeneracyBatch, DegeneracyData, _with_a_set, analyze, analyze_frozen
 from finslerconn.dsl import metric_from_json, parse
 from finslerconn.errors import DegeneracyError, DomainError
-from finslerconn.jet import TangentPoint, compute_jet, compute_jets
+from finslerconn.jet import JetBatch, TangentPoint, compute_jet, compute_jets
 
 
 def _conn_at(entry, x, dx, gauge_lambdaI=None):
@@ -45,27 +46,26 @@ def _conn_at(entry, x, dx, gauge_lambdaI=None):
 def test_frame_identities_euclidean():
     entry = catalog_entry("euclidean-2")
     jet = compute_jet(entry.spec, x=[0.0, 0.0], dx=[3.0, 4.0])
-    basis = build_ell_basis(jet, analyze(jet))
-    np.testing.assert_allclose(basis.ell0, [0.6, 0.8], rtol=1e-15)
-    assert jet.p @ basis.ell0 == pytest.approx(1.0, abs=1e-15)
-    for row in basis.ella:
+    conn = solve_G(jet, analyze(jet))
+    np.testing.assert_allclose(conn.ell0, [0.6, 0.8], rtol=1e-15)
+    assert jet.p @ conn.ell0 == pytest.approx(1.0, abs=1e-15)
+    for row in conn.ella:
         assert jet.p @ row == pytest.approx(0.0, abs=1e-15)
-    assert abs(basis.det) > 1e-12
+    assert abs(conn.basis_det) > 1e-12
 
 
 @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
 def test_frame_identities_across_catalog(entry):
     xs, dxs = sample_points(entry, 25, seed=37)
     for jet in compute_jets(entry.spec, xs, dxs, validate=False):
-        deg = analyze(jet)
-        basis = build_ell_basis(jet, deg)
+        conn = solve_G(jet, analyze(jet))
         p = jet.p
-        assert p @ basis.ell0 == pytest.approx(1.0, rel=1e-12)
-        for row in basis.ellI:
+        assert p @ conn.ell0 == pytest.approx(1.0, rel=1e-12)
+        for row in conn.ellI:
             assert abs(p @ row) <= 1e-10 * np.linalg.norm(p) * np.linalg.norm(row)
-        for row in basis.ella:
+        for row in conn.ella:
             assert abs(p @ row) <= 1e-12 * np.linalg.norm(p) * np.linalg.norm(row)
-        assert basis.det != 0.0
+        assert conn.basis_det != 0.0
 
 
 def test_frame_refuses_vanishing_metric_value():
@@ -76,7 +76,7 @@ def test_frame_refuses_vanishing_metric_value():
     jet = compute_jet(entry.spec, x=x, dx=dx, validate=False)
     assert abs(jet.L) < 1e-15
     with pytest.raises(DegeneracyError, match="vanishes"):
-        build_ell_basis(jet, analyze(jet))
+        _frames(JetBatch.of(jet), DegeneracyBatch.of(analyze(jet)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +154,14 @@ def test_gauge_term_moves_spray_only_along_eigenvectors():
         # complement projection of the change is negligible
         comp = delta - (np.linalg.lstsq(deg.v.T, delta, rcond=None)[0] @ deg.v)
         assert np.linalg.norm(comp) <= 1e-10 * max(np.linalg.norm(delta), 1e-30)
+
+
+@pytest.mark.parametrize("lam", [[0.7], [0.7, -1.3, 0.2], [[0.7, -1.3]]])
+def test_gauge_multipliers_must_have_one_entry_per_eigenvector(lam):
+    entry = catalog_entry("second-class")
+    xs, dxs = sample_points(entry, 1, seed=61)
+    with pytest.raises(ValueError, match=r"gauge_lambdaI must have shape \(2,\)"):
+        _conn_at(entry, xs[0], dxs[0], gauge_lambdaI=np.array(lam))
 
 
 def test_spray_independent_of_regular_block_choice():
@@ -473,11 +481,25 @@ def test_spray_batch_raises_what_the_point_loop_raises_first(names, message):
     assert batch.value.detail == per_point.value.detail
 
 
+def test_spray_batch_error_stands_when_its_points_pass_alone(monkeypatch):
+    # the replay meets no failing point, so the stacked pass's error is raised
+    spray = connection._spray
+
+    def stacked_only(jets, *args):
+        if len(jets) > 1:
+            raise DegeneracyError("stacked pass only")
+        return spray(jets, *args)
+
+    monkeypatch.setattr(connection, "_spray", stacked_only)
+    with pytest.raises(DegeneracyError, match="stacked pass only"):
+        _solve_G_batch(stack_jets([RANK1_JETS["good"]] * 2), analyze(RANK1_JETS["good"]))
+
+
 def test_degenerate_frame_raises():
     # ell_a = e0 - (p0 / L) dx vanishes when dx = p = e0 and L = 1
     jet = hand_jet(np.diag([2.0, 0.0, 0.0]), np.eye(3)[0], np.eye(3)[0])
     with pytest.raises(DegeneracyError, match="adapted frame is numerically degenerate"):
-        build_ell_basis(jet, analyze(jet))
+        _frames(JetBatch.of(jet), DegeneracyBatch.of(analyze(jet)))
 
 
 def test_coefficients_N_refuses_when_a_stencil_point_raises():

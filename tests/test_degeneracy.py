@@ -218,6 +218,28 @@ def test_full_rank_hessian_rejected():
         analyze(jet)
 
 
+def test_no_invertible_block_of_the_reduced_size_raises():
+    # rank_tol = 1e-22 counts rank 3 at this Frenkel point (its third
+    # singular value is 2.4e-20), but row 1 of L2 vanishes and the block
+    # (0, 2, 3) is numerically singular: no 3x3 principal block is invertible
+    jet = compute_jet(catalog_entry("frenkel").spec, x=[0.2, -0.4, 0.3, 0.5],
+                      dx=[1.0, 0.3, 0.8, 5e-4], validate=False)
+    with pytest.raises(DegeneracyError, match="no invertible coordinate block") as exc:
+        analyze(jet, rank_tol=1e-22)
+    assert exc.value.detail == {"rank": 3, "best_det": 0.0}
+
+
+def test_batch_raises_its_first_failing_points_error():
+    # the full-rank point fails; the points before it are analyzed first
+    full = Jet2(
+        x=np.zeros(3), dx=np.eye(3)[2], L=1.0, dL_dx=np.zeros(3), p=np.eye(3)[2],
+        L2=np.eye(3), mixed=np.zeros((3, 3)),
+    )
+    jets = stack_jets([RANK1_JETS["good"], full, RANK1_JETS["good"]])
+    with pytest.raises(DegeneracyError, match="full rank 3"):
+        analyze(jets)
+
+
 def _rank1_base():
     base = analyze(RANK1_JETS["good"])
     assert (base.rank, base.a_indices, base.zero_index, base.I_indices) == (1, (0,), 2, (1,))

@@ -92,9 +92,19 @@ def test_position_derivatives_match_finite_differences(name):
 
 
 def test_non_homogeneous_metric_raises():
-    bad = parse("d0^2 + d1^2", dimension=2)
-    with pytest.raises(HomogeneityError, match="Euler identity"):
-        compute_jet(bad, x=[0.0, 0.0], dx=[1.0, 2.0])
+    # each expression breaks the next identity of 1-homogeneity in order:
+    # p.dx = L; then L2.dx = 0 (the added square and its gradient vanish
+    # on the unit circle, its Hessian does not); then dx . mixed = dL/dx
+    # (the x0-coefficient and its dx-gradient vanish there, not its mixed
+    # derivative)
+    cases = [
+        ("d0^2 + d1^2", [0.0, 0.0], [1.0, 2.0], "Euler identity"),
+        ("d0 + (d0^2 + d1^2 - 1)^2", [0.0, 0.0], [0.6, 0.8], r"L2\.dx = 0 violated"),
+        ("d0 + x0*(d0^2 + d1^2 - 1)", [0.0, 0.0], [0.6, 0.8], "dx-contraction of the mixed block"),
+    ]
+    for text, x, dx, message in cases:
+        with pytest.raises(HomogeneityError, match=message):
+            compute_jet(parse(text, dimension=2), x=x, dx=dx)
 
 
 @pytest.mark.parametrize("rtol", [np.nan, -1.0, np.inf])
@@ -169,6 +179,13 @@ def test_check_homogeneity_flags_quadratic_metric():
     # 2-homogeneous expression violates degree 1 by a factor of the scale
     assert rep.l_violation > 0.5
     assert not rep.passed()
+
+
+@pytest.mark.parametrize("scale", [0.0, -2.0])
+def test_check_homogeneity_needs_positive_scales(scale):
+    spec = catalog_entry("euclidean-2").spec
+    with pytest.raises(ValueError, match="scales must be positive"):
+        check_homogeneity(spec, TangentPoint([0.5, 0.5], [3.0, 4.0]), (2.0, scale))
 
 
 def test_check_homogeneity_frenkel_random_points():

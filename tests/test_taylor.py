@@ -7,31 +7,31 @@ from hypothesis import strategies as st
 
 from conftest import fd_dx_gradient, fd_dx_hessian, sample_points
 from finslerconn.catalog import catalog
-from finslerconn.dsl import evaluate
 from finslerconn.errors import DomainError
-from finslerconn.taylor import Taylor2, lift
+from finslerconn.jet import compute_jet, compute_jets
+from finslerconn.taylor import Taylor2
 
 
-def test_lift_seeded():
-    t = lift(2.0, 0, 2)
+def test_seeded_scalar():
+    t = Taylor2.seeded([2.0], [[1.0, 0.0]])
     assert t.val[0] == 2.0
     assert np.array_equal(t.grad, [[1.0, 0.0]])
     assert np.all(t.hess == 0.0)
 
 
-def test_lift_constant():
-    t = lift(5.0, None, 3)
+def test_seeded_with_zero_rows_is_constant():
+    t = Taylor2.seeded([5.0], np.zeros((1, 3)))
     assert np.array_equal(t.grad, [[0.0, 0.0, 0.0]])
 
 
-def test_lift_validates_seed_index():
-    with pytest.raises(ValueError):
-        lift(1.0, 3, 2)
+def test_seeded_validates_batch_size():
+    with pytest.raises(ValueError, match="batch size"):
+        Taylor2.seeded([1.0], np.zeros((2, 2)))
 
 
 def test_product_cross_second_derivative():
-    a = lift(3.0, 0, 2)
-    b = lift(7.0, 1, 2)
+    a = Taylor2.seeded([3.0], [[1.0, 0.0]])
+    b = Taylor2.seeded([7.0], [[0.0, 1.0]])
     p = a * b
     assert p.val[0] == 21.0
     assert p.hess[0, 0, 1] == 1.0
@@ -40,29 +40,29 @@ def test_product_cross_second_derivative():
 
 
 def test_sqrt_at_four():
-    t = lift(4.0, 0, 1).sqrt()
+    t = Taylor2.seeded([4.0], [[1.0]]).sqrt()
     assert t.val[0] == 2.0
     assert t.grad[0, 0] == 0.25
     assert t.hess[0, 0, 0] == -1.0 / 32.0
 
 
 def test_sin_at_zero():
-    t = lift(0.0, 0, 1).sin()
+    t = Taylor2.seeded([0.0], [[1.0]]).sin()
     assert t.val[0] == 0.0
     assert t.grad[0, 0] == 1.0
     assert t.hess[0, 0, 0] == 0.0
 
 
 def test_abs_and_domain_errors():
-    assert lift(-3.0, 0, 1).abs().grad[0, 0] == -1.0
+    assert Taylor2.seeded([-3.0], [[1.0]]).abs().grad[0, 0] == -1.0
     with pytest.raises(DomainError):
-        lift(0.0, 0, 1).abs()
+        Taylor2.seeded([0.0], [[1.0]]).abs()
     with pytest.raises(DomainError):
-        lift(-1.0, 0, 1).sqrt()
+        Taylor2.seeded([-1.0], [[1.0]]).sqrt()
     with pytest.raises(DomainError):
-        lift(0.0, 0, 1).log()
+        Taylor2.seeded([0.0], [[1.0]]).log()
     with pytest.raises(DomainError):
-        lift(2.0, 0, 2) / lift(0.0, 1, 2)
+        Taylor2.seeded([2.0], [[1.0, 0.0]]) / Taylor2.seeded([0.0], [[0.0, 1.0]])
 
 
 def _scalar_fn_and_taylor(a, b):
@@ -112,15 +112,15 @@ def test_hessian_is_exactly_symmetric(a, b):
 def test_pow_rational_and_integer():
     from fractions import Fraction
 
-    t = lift(16.0, 0, 1) ** Fraction(1, 4)
+    t = Taylor2.seeded([16.0], [[1.0]]) ** Fraction(1, 4)
     assert t.val[0] == 2.0
     assert t.grad[0, 0] == pytest.approx(0.25 * 16.0 ** (-0.75))
-    ti = lift(3.0, 0, 1) ** (-2)
+    ti = Taylor2.seeded([3.0], [[1.0]]) ** (-2)
     assert ti.val[0] == pytest.approx(1.0 / 9.0)
     with pytest.raises(DomainError):
-        lift(-2.0, 0, 1) ** Fraction(1, 2)
+        Taylor2.seeded([-2.0], [[1.0]]) ** Fraction(1, 2)
     with pytest.raises(TypeError):
-        lift(2.0, 0, 1) ** 0.5
+        Taylor2.seeded([2.0], [[1.0]]) ** 0.5
 
 
 def test_batch_matches_single_point_evaluation():
@@ -129,7 +129,8 @@ def test_batch_matches_single_point_evaluation():
     u = Taylor2.seeded(vals, seeds)
     out = (u * u + 1.0).sqrt()
     for i, v in enumerate(vals):
-        single = (lift(v, 0, 2) * lift(v, 0, 2) + 1.0).sqrt()
+        single_u = Taylor2.seeded([v], [[1.0, 0.0]])
+        single = (single_u * single_u + 1.0).sqrt()
         assert out.val[i] == single.val[0]
         assert np.array_equal(out.grad[i], single.grad[0])
         assert np.array_equal(out.hess[i], single.hess[0])
@@ -137,28 +138,23 @@ def test_batch_matches_single_point_evaluation():
 
 def test_euclidean_gradient_and_hessian_at_3_4():
     spec = next(e for e in catalog() if e.name == "euclidean-2").spec
-    t = evaluate(spec, [0.0, 0.0], [3.0, 4.0], scalar_kind="taylor2")
-    assert np.allclose(t.grad[0], [0.6, 0.8], atol=1e-15)
+    jet = compute_jet(spec, x=[0.0, 0.0], dx=[3.0, 4.0], validate=False)
+    assert np.allclose(jet.p, [0.6, 0.8], atol=1e-15)
     # rows of the direction Hessian annihilate the direction itself
-    assert np.allclose(t.hess[0] @ np.array([3.0, 4.0]), 0.0, atol=1e-15)
+    assert np.allclose(jet.L2 @ np.array([3.0, 4.0]), 0.0, atol=1e-15)
     # cross-check against Richardson finite differences
     xs = np.zeros((1, 2))
     dxs = np.array([[3.0, 4.0]])
-    assert np.allclose(t.grad[0], fd_dx_gradient(spec, xs, dxs)[0], rtol=1e-8)
-    assert np.allclose(t.hess[0], fd_dx_hessian(spec, xs, dxs)[0], rtol=1e-6, atol=1e-9)
+    assert np.allclose(jet.p, fd_dx_gradient(spec, xs, dxs)[0], rtol=1e-8)
+    assert np.allclose(jet.L2, fd_dx_hessian(spec, xs, dxs)[0], rtol=1e-6, atol=1e-9)
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog()])
 def test_derivatives_match_finite_differences_across_catalog(name):
     entry = next(e for e in catalog() if e.name == name)
     xs, dxs = sample_points(entry, 200, seed=101, for_connection=False)
-    t = None
-    grads = np.empty_like(dxs)
-    hesses = np.empty((xs.shape[0], xs.shape[1], xs.shape[1]))
-    for i in range(xs.shape[0]):
-        t = evaluate(entry.spec, xs[i], dxs[i], scalar_kind="taylor2")
-        grads[i] = t.grad[0]
-        hesses[i] = t.hess[0]
+    jets = compute_jets(entry.spec, xs, dxs, validate=False)
+    grads, hesses = jets.p, jets.L2
     fd_g = fd_dx_gradient(entry.spec, xs, dxs)
     fd_h = fd_dx_hessian(entry.spec, xs, dxs)
     g_scale = np.maximum(np.abs(fd_g).max(axis=1), 1e-12)
