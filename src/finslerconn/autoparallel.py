@@ -22,6 +22,7 @@ the gauge's free-multiplier policy.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -216,6 +217,16 @@ class MultiplierResolution:
     deg: DegeneracyData
 
 
+@functools.cache
+def _unit_stencil(n1: int) -> np.ndarray:
+    """Rows +e_i, -e_i for each coordinate i, shape (2 n1, n1); the zeros
+    of a minus row are -0.0, so scaling by a positive step keeps the signed
+    zeros of scaling e_i first."""
+    unit = np.repeat(np.eye(n1), 2, axis=0) * np.tile([1.0, -1.0], n1)[:, None]
+    unit.setflags(write=False)
+    return unit
+
+
 def _c_gradients(
     spec: dsl.MetricSpec,
     x: np.ndarray,
@@ -232,10 +243,8 @@ def _c_gradients(
         n1 = x.shape[0]
         hx = C_FD_SCALE * (1.0 + np.abs(x))
         hd = C_FD_SCALE * float(np.linalg.norm(dx))
-        # rows +h e_i, -h e_i for each coordinate i, in x and then in dx
-        signs = np.tile([1.0, -1.0], n1)[:, None]
-        sx = np.repeat(np.diag(hx), 2, axis=0) * signs
-        sdx = np.repeat(hd * np.eye(n1), 2, axis=0) * signs
+        unit = _unit_stencil(n1)
+        sx, sdx = unit * hx, unit * hd
         xs = np.vstack([xs, x + sx, np.broadcast_to(x, sdx.shape)])
         dxs = np.vstack([dxs, np.broadcast_to(dx, sx.shape), dx + sdx])
     jets = compute_jets(spec, xs, dxs, validate=False)
@@ -249,6 +258,26 @@ def _c_gradients(
     return jets[0], degs[0], Cs[0], (gx, gdx)
 
 
+def _consistency_rows(grads, dx, vs, accel_base):
+    """The D consistency rows dC_J/dtau = 0 over [eta, lambda^I], with
+    their right-hand sides and scales, stacked.  ``np.vecdot`` and the
+    stacked matmul give the bits of the per-row 1-d dots, norms and
+    ``gdx[J] @ vs.T``; ``gdx @ vs.T`` would not."""
+    gx, gdx = grads
+    D = gx.shape[0]
+    velnorm = float(np.linalg.norm(dx))
+    accnorm = float(np.linalg.norm(accel_base))
+    rows = np.empty((D, 1 + D))
+    rows[:, 0] = np.vecdot(gdx, dx)
+    rows[:, 1:] = (gdx[:, None, :] @ vs.T[None])[:, 0]
+    rhs = -np.vecdot(gx, dx) - np.vecdot(gdx, accel_base)
+    row_scales = (
+        np.sqrt(np.vecdot(gx, gx)) * velnorm
+        + np.sqrt(np.vecdot(gdx, gdx)) * (velnorm + accnorm + D)
+    )
+    return rows, rhs, row_scales
+
+
 def _resolve(
     spec: dsl.MetricSpec,
     x: np.ndarray,
@@ -257,14 +286,18 @@ def _resolve(
     tau: float,
     base: DegeneracyData,
     point: tuple[Jet2, DegeneracyData] | None = None,
+    batch: tuple | None = None,
 ) -> MultiplierResolution:
     """The multipliers at (x, dx) on ``base``'s branch, from row 0 of the
     :func:`_c_gradients` batch, or from ``point``, the (jet, deg) of
     (x, dx) when the caller holds them (a regular branch then builds no
-    batch).  Errors come in per-point order: the point's own, its gauge
-    row's, then the first failing stencil row's."""
+    batch), or from ``batch``, that batch when the caller holds it (then
+    nothing is built).  Errors come in per-point order: the point's own,
+    its gauge row's, then the first failing stencil row's."""
     failure = None
-    if point is not None and not base.D:
+    if batch is not None:
+        jet, deg, C, grads = batch
+    elif point is not None and not base.D:
         (jet, deg), C = point, np.zeros(0)
     else:
         try:
@@ -313,28 +346,17 @@ def _resolve(
 
     if failure is not None:
         raise failure
-    rows, rhs, row_scales = np.zeros((D, unknowns)), np.zeros(D), np.zeros(D)
+    row_scale_max = 0.0
     if D:
-        gx, gdx = grads
-        velnorm = float(np.linalg.norm(dx))
-        accnorm = float(np.linalg.norm(accel_base))
-        for J in range(D):
-            rows[J, 0] = float(gdx[J] @ dx)
-            rows[J, 1:] = gdx[J] @ vs.T
-            rhs[J] = -float(gx[J] @ dx) - float(gdx[J] @ accel_base)
-            row_scales[J] = (
-                np.linalg.norm(gx[J]) * velnorm
-                + np.linalg.norm(gdx[J]) * (velnorm + accnorm + D)
-            )
-
-    keep = [
-        J
-        for J in range(D)
-        if max(float(np.max(np.abs(rows[J]))), abs(rhs[J]))
-        > ROW_ZERO_TOL * row_scales[J] + 1e-300
-    ]
-    A = np.vstack([row0[None, :], rows[keep]])
-    b = np.concatenate([[rhs0], rhs[keep]])
+        rows, rhs, row_scales = _consistency_rows(grads, dx, vs, accel_base)
+        row_scale_max = float(np.max(row_scales))
+        keep = np.maximum(np.max(np.abs(rows), axis=1), np.abs(rhs)) > (
+            ROW_ZERO_TOL * row_scales + 1e-300
+        )
+        A = np.vstack([row0[None, :], rows[keep]])
+        b = np.concatenate([[rhs0], rhs[keep]])
+    else:
+        A, b = row0[None, :], np.array([rhs0])
 
     # multiplier columns absent from every kept row are first-class freedoms
     lam_vals = np.zeros(D)
@@ -357,7 +379,7 @@ def _resolve(
     residual = float(np.linalg.norm(A_red @ sol - b))
     res_scale = float(
         np.linalg.norm(b) + np.linalg.norm(A_red) * np.linalg.norm(sol)
-    ) + max(row0_scale, float(np.max(row_scales)) if row_scales.size else 0.0)
+    ) + max(row0_scale, row_scale_max)
     if residual > CONSISTENCY_TOL * (res_scale + 1e-300):
         raise ConsistencyError(
             f"no multiplier choice keeps the constraints consistent "
@@ -415,21 +437,24 @@ def resolve_multipliers(
 
 
 def _reanchor(deg: DegeneracyData, prev_raw: np.ndarray) -> tuple[DegeneracyData, list[str]]:
-    """Flip eigenvector signs to follow the previous node; flag jumps."""
+    """Flip eigenvector signs to follow the previous node; flag jumps.
+    ``deg`` itself comes back when no sign flips."""
     events = []
     if deg.D == 0 or prev_raw.shape != deg.v_raw.shape:
         return deg, events
     v = deg.v.copy()
     raw = deg.v_raw.copy()
+    flipped = False
     for j in range(deg.D):
         dot = float(raw[j] @ prev_raw[j])
         if dot < 0:
             v[j] = -v[j]
             raw[j] = -raw[j]
             dot = -dot
+            flipped = True
         if dot < 0.7 * float(np.linalg.norm(raw[j]) * np.linalg.norm(prev_raw[j])):
             events.append(f"eigenvector-discontinuity[{j}]")
-    return replace(deg, v=v, v_raw=raw), events
+    return (replace(deg, v=v, v_raw=raw) if flipped else deg), events
 
 
 def _node_from(res: MultiplierResolution, tau: float, events: tuple[str, ...]) -> NodeDiagnostics:
@@ -460,11 +485,15 @@ def _project_onto_constraints(
     x: np.ndarray,
     dx: np.ndarray,
     base: DegeneracyData,
+    batch: tuple | None = None,
     iterations: int = 3,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares pullback of (x, dx) onto C = 0 (Gauss-Newton)."""
+    """Least-squares pullback of (x, dx) onto C = 0 (Gauss-Newton); the
+    first iterate reads ``batch``, the :func:`_c_gradients` batch of
+    (x, dx) on ``base``'s branch, when the caller holds it."""
     for _ in range(iterations):
-        _, _, C, grads = _c_gradients(spec, x, dx, base)
+        _, _, C, grads = batch or _c_gradients(spec, x, dx, base)
+        batch = None
         if np.max(np.abs(C)) == 0.0:
             break
         J = np.hstack(grads)
@@ -486,6 +515,22 @@ def _rk4(rates, y: tuple, tau: float, h: float, k1: tuple) -> tuple:
     )
 
 
+def _node_batch(spec: dsl.MetricSpec, x, dx, base: DegeneracyData, rank_tol: float):
+    """The :func:`_c_gradients` batch of a new node (x, dx) on the previous
+    node ``base``'s branch, with the node's sign-anchoring events; no
+    batch when it fails, the rank changes or a sign flips, so that the
+    node takes the single-point path and raises there what it raises."""
+    try:
+        batch = _c_gradients(spec, x, dx, base)
+    except (DomainError, DegeneracyError, np.linalg.LinAlgError):
+        return None, []
+    deg = batch[1]
+    if _ranks(deg.sing_values[None], rank_tol)[0] != base.rank:
+        return None, []
+    anchored, events = _reanchor(deg, base.v_raw)
+    return (batch, events) if anchored is deg else (None, [])
+
+
 # runtime failures that end a run with ``halt_reason`` instead of raising
 _HALTING_ERRORS = (DomainError, ConsistencyError, DegeneracyError, np.linalg.LinAlgError)
 
@@ -504,10 +549,11 @@ def integrate(
     """Integrate the auto-parallel equation with classical fixed-step RK4.
 
     Each stage resolves its multipliers from one jet batch on the
-    structural branch of the step's start node.  A new node keeps that
-    branch while the rank of its frozen analysis holds and is re-analyzed
-    when the rank changes or the block degrades; structure changes are
-    logged and eigenvector signs re-anchored.  Runtime failures
+    structural branch of the step's start node; on a constrained branch a
+    new node's batch is also the next step's first stage.  A new node
+    keeps that branch while the rank of its frozen analysis holds and is
+    re-analyzed when the rank changes or the block degrades; structure
+    changes are logged and eigenvector signs re-anchored.  Runtime failures
     (leaving the admissible domain, multiplier inconsistency, frame
     degeneration, a linear-algebra routine that does not converge), in a
     step or in a new node's analysis or projection, halt the trajectory
@@ -551,6 +597,7 @@ def integrate(
     tau = 0.0
     structure = (deg.rank, deg.a_indices, deg.I_indices)
     pending_events: list[str] = []
+    held = None  # the node's _c_gradients batch, when the node built one
 
     for k in range(steps + 1):
         stage_states = [(x, dx)]
@@ -561,7 +608,7 @@ def integrate(
             return y[1], _resolve(spec, y[0], y[1], gauge, tau_s, deg).accel
 
         try:
-            res1 = _resolve(spec, x, dx, gauge, tau, deg, (jet, deg))
+            res1 = _resolve(spec, x, dx, gauge, tau, deg, (jet, deg), held)
             traj.nodes.append(_node_from(res1, tau, tuple(pending_events)))
             pending_events = []
             if k == steps:
@@ -578,31 +625,39 @@ def integrate(
         if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(dx_new))):
             traj.halt_reason = "non-finite state"
             break
-        try:
-            jet = compute_jet(spec, x=x_new, dx=dx_new, validate=False)
-        except DomainError as exc:
-            traj.halt_reason = f"inadmissible: {exc}"
-            break
+        # a constrained node is row 0 of the batch that resolves the next
+        # step; without that batch the node takes the single-point path
+        held, flips = _node_batch(spec, x_new, dx_new, deg, rank_tol) if deg.D else (None, [])
+        if held is None:
+            try:
+                jet = compute_jet(spec, x=x_new, dx=dx_new, validate=False)
+            except DomainError as exc:
+                traj.halt_reason = f"inadmissible: {exc}"
+                break
 
         # same rank: keep the previous index split and eigenvector signs so
         # labels (and any free-multiplier policy keyed on them) stay stable;
         # analyze afresh when the rank changes or the old block degrades
         projected = False
         try:
-            try:
-                deg_new = analyze_frozen(jet, deg)
-            except DegeneracyError:
-                deg_new = None
-            if deg_new is None or _ranks(deg_new.sing_values[None], rank_tol)[0] != deg.rank:
-                deg_new = analyze(jet, rank_tol=rank_tol)
-            deg_new, flips = _reanchor(deg_new, deg.v_raw)
+            if held is None:
+                try:
+                    deg_new = analyze_frozen(jet, deg)
+                except DegeneracyError:
+                    deg_new = None
+                if deg_new is None or _ranks(deg_new.sing_values[None], rank_tol)[0] != deg.rank:
+                    deg_new = analyze(jet, rank_tol=rank_tol)
+                deg_new, flips = _reanchor(deg_new, deg.v_raw)
+            else:
+                jet, deg_new = held[:2]
             pending_events.extend(flips)
             deg = deg_new
 
             if project and deg.D:
-                C_now = constraint_residuals(jet, deg)
+                C_now = constraint_residuals(jet, deg) if held is None else held[2]
                 if float(np.max(np.abs(C_now))) > 10.0 * constraint_tol * c_scale:
-                    x_new, dx_new = _project_onto_constraints(spec, x_new, dx_new, deg)
+                    x_new, dx_new = _project_onto_constraints(spec, x_new, dx_new, deg, held)
+                    held = None
                     jet = compute_jet(spec, x=x_new, dx=dx_new, validate=False)
                     deg, _ = _reanchor(analyze(jet, rank_tol=rank_tol), deg_new.v_raw)
                     traj.projected_steps += 1

@@ -176,7 +176,7 @@ class Taylor2:
                 raise DomainError("zero raised to a negative power")
             f0 = self.val**e
             f1 = e * self.val ** (e - 1)
-            f2 = e * (e - 1) * self.val ** (e - 2) if e != 1 else np.zeros_like(self.val)
+            f2 = e * (e - 1) * self.val ** (e - 2)
             return self._unary(f0, f1, f2)
         if isinstance(exponent, Fraction):
             if np.any(self.val <= 0.0):

@@ -5,6 +5,9 @@ The FD oracle deliberately goes through plain-value evaluation only, so it
 cross-checks the AD machinery without sharing any derivative code with it.
 Everything is Richardson-extrapolated central differencing, vectorized
 over points through batched evaluation.
+
+Property tests draw their examples deterministically and keep no example
+database, so every run of the suite executes the same lines.
 """
 
 from __future__ import annotations
@@ -14,6 +17,14 @@ import pytest
 
 from finslerconn.catalog import catalog
 from finslerconn.dsl import eval_values
+
+try:
+    from hypothesis import settings
+except ImportError:  # hypothesis is an optional test dependency
+    pass
+else:
+    settings.register_profile("deterministic", derandomize=True, database=None)
+    settings.load_profile("deterministic")
 
 
 def sample_points(entry, count, seed, for_connection=True):

@@ -1,10 +1,12 @@
 """Integration, multiplier resolution, transport and gauge behavior."""
 
 import logging
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from conftest import same_bits
 from finslerconn import autoparallel
 from finslerconn.autoparallel import (
     GaugeChoice,
@@ -22,7 +24,7 @@ from finslerconn.catalog import (
 from finslerconn.degeneracy import analyze
 from finslerconn.dsl import evaluate, parse
 from finslerconn.errors import DegeneracyError, DomainError, InvalidStateError
-from finslerconn.jet import Jet2, TangentPoint, compute_jet
+from finslerconn.jet import Jet2, JetBatch, TangentPoint, compute_jet
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +119,24 @@ def test_gauge_row_errors_and_their_order(name, x, dx, gauge, error, message):
         resolve_multipliers(catalog_entry(name).spec, TangentPoint(x, dx), gauge=gauge)
 
 
+def test_stacked_consistency_rows_keep_the_per_row_bits():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        D = int(rng.integers(1, 3))
+        n1 = int(rng.integers(D + 1, 5))
+        scales = 10.0 ** rng.uniform(-6, 6, size=3)
+        gx, gdx = rng.normal(size=(D, n1)) * scales[0], rng.normal(size=(D, n1)) * scales[1]
+        dx, vs = rng.normal(size=n1), rng.normal(size=(D, n1))
+        accel = rng.normal(size=n1) * scales[2]
+        rows, rhs, row_scales = autoparallel._consistency_rows((gx, gdx), dx, vs, accel)
+        velnorm, accnorm = float(np.linalg.norm(dx)), float(np.linalg.norm(accel))
+        for J in range(D):  # the per-row reference
+            assert same_bits(rows[J], np.array([float(gdx[J] @ dx), *(gdx[J] @ vs.T)]))
+            assert same_bits(rhs[J], -float(gx[J] @ dx) - float(gdx[J] @ accel))
+            assert same_bits(row_scales[J], np.linalg.norm(gx[J]) * velnorm
+                             + np.linalg.norm(gdx[J]) * (velnorm + accnorm + D))
+
+
 def _count_jet_work(monkeypatch):
     """Per (x, dx): the jets computed and the frozen and fresh analyses run
     on it through autoparallel's names, keyed by the point's bytes."""
@@ -171,6 +191,125 @@ def test_regular_step_does_one_jet_per_node_and_stage(monkeypatch):
     assert sum(counts["jet"].values()) == 1 + 4 * steps
     assert sum(counts["frozen"].values()) == 4 * steps
     assert sum(counts["analyze"].values()) == 1
+
+
+def _jet_passes(monkeypatch):
+    """Each jet pass and frozen analysis through autoparallel's names, in
+    call order, as (name, row 0's x, number of points)."""
+    passes = []
+
+    def record(name, rows):
+        original = getattr(autoparallel, name)
+
+        def wrapper(*args, **kwargs):
+            xs = np.atleast_2d(rows(*args, **kwargs))
+            passes.append((name, xs[0].copy(), len(xs)))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(autoparallel, name, wrapper)
+
+    record("compute_jet", lambda spec, pt=None, x=None, dx=None, **_: x if pt is None else pt.x)
+    record("compute_jets", lambda spec, xs, dxs, **_: xs)
+    record("analyze_frozen", lambda jets, base: jets.x)
+    return passes
+
+
+@pytest.mark.parametrize("name, x0, dx0", [
+    ("second-class", [0.0, 0.8, 0.3], [1.0, 0.3, -0.8]),
+    ("frenkel", [0.0, 0.1, -0.2, 0.0], [1.0, 0.5, 0.4, 1e-4]),
+])
+def test_constrained_node_is_row_0_of_the_next_steps_batch(monkeypatch, name, x0, dx0):
+    passes = _jet_passes(monkeypatch)
+    steps, n1 = 40, len(x0)
+    traj = integrate(catalog_entry(name).spec, x0, dx0, GaugeChoice.time(), steps=steps, h=0.01)
+    assert traj.completed and all(n.D > 0 for n in traj.nodes) and not traj.events
+    jets = [(x, points) for kind, x, points in passes if kind != "analyze_frozen"]
+    # node 0's validated jet, then one stencil batch for node 0's k1 and
+    # for each step's three later stages and its new node, whose batch
+    # is also the next step's k1
+    assert [points for _, points in jets] == [1] + [1 + 4 * n1] * (4 * steps + 1)
+    assert sum(kind == "analyze_frozen" for kind, _, _ in passes) == 4 * steps + 1
+    for k, node in enumerate(traj.nodes[1:]):
+        assert np.array_equal(jets[5 + 4 * k][0], node.x)
+        assert sum(np.array_equal(x, node.x) for x, _ in jets) == 1
+
+
+def test_node_whose_stencil_leaves_the_domain_takes_the_single_point_path(monkeypatch):
+    # d0 is constant in the time gauge while |dx| shrinks toward 1e5 d0:
+    # node 3 lies inside d0 > 0, but the dx-stencil row dx - 1e-5 |dx| e_0
+    # of its constraint gradients does not, and nor does any earlier stage
+    spec = catalog_entry("frenkel").spec
+    x0, dx0 = [0.34, 0.39, -0.67, -0.95], [1.46612e-05, 0.93, 0.29, 0.89]
+    passes = _jet_passes(monkeypatch)
+    traj = integrate(spec, x0, dx0, GaugeChoice.time(), steps=40, h=0.01, constraint_tol=1e3)
+    assert traj.halt_reason.startswith("DomainError: guard violated: value -1.66")
+    assert len(traj.nodes) == 3 and len(traj._stages) == 3
+    # node 3: its batch fails, its single-point jet and frozen analysis
+    # succeed, and the next step's k1 batch fails before the single-point
+    # jet that orders the errors
+    tail = [(kind, points) for kind, _, points in passes[-6:]]
+    assert tail == [("compute_jets", 17), ("compute_jet", 1), ("analyze_frozen", 1),
+                    ("compute_jets", 17), ("compute_jet", 1), ("analyze_frozen", 1)]
+    x3 = passes[-1][1]
+    assert all(np.array_equal(x, x3) for _, x, _ in passes[-6:])
+    assert not any(np.array_equal(node.x, x3) for node in traj.nodes)
+
+
+def test_node_with_a_rank_change_takes_the_single_point_path(monkeypatch):
+    spec = catalog_entry("frenkel").spec
+    passes = _jet_passes(monkeypatch)
+    traj = integrate(spec, [0.6, 0.78, 0.96, -0.26], [1.10967e-05, -0.78, -0.13, 0.61],
+                     GaugeChoice.time(), steps=40, h=1e-3, constraint_tol=1e3)
+    assert traj.completed and traj.events == [(31, "rank-transition 1 -> 2")]
+    x31 = traj.nodes[31].x
+    at_x31 = [(kind, points) for kind, x, points in passes if np.array_equal(x, x31)]
+    # the batch on the old branch, the single-point rank decision, then the
+    # next step's k1 batch on the new branch
+    assert at_x31 == [("compute_jets", 17), ("analyze_frozen", 17), ("compute_jet", 1),
+                      ("analyze_frozen", 1), ("compute_jets", 17), ("analyze_frozen", 17)]
+
+
+def test_single_point_node_path_gives_the_batch_path_bits(monkeypatch):
+    # a _reanchor that always returns a copy reads as a flipped sign, so
+    # every node takes the single-point path of a batch it drops
+    spec = catalog_entry("second-class").spec
+    x0, dx0 = [0.0, 0.8, 0.3], [1.0, 0.3, -0.8]
+
+    def run():
+        return integrate(spec, x0, dx0, GaugeChoice.time(), steps=10, h=0.01)
+
+    held = run()
+    reanchor = autoparallel._reanchor
+    monkeypatch.setattr(autoparallel, "_reanchor",
+                        lambda deg, prev: (replace(reanchor(deg, prev)[0]), []))
+    passes = _jet_passes(monkeypatch)
+    single = run()
+    # per step: the dropped node batch, its single-point jet and four stages
+    assert sum(kind != "analyze_frozen" for kind, _, _ in passes) == 2 + 6 * 10
+    for a, b in zip(held.nodes, single.nodes, strict=True):
+        for f in fields(a):
+            assert same_bits(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def test_projected_node_reads_its_batch_in_the_first_gauss_newton_iterate(monkeypatch):
+    entry = catalog_entry("second-class")
+    projected_from = []
+    project = autoparallel._project_onto_constraints
+
+    def recording(spec, x, dx, *args, **kwargs):
+        projected_from.append(x)
+        return project(spec, x, dx, *args, **kwargs)
+
+    monkeypatch.setattr(autoparallel, "_project_onto_constraints", recording)
+    passes = _jet_passes(monkeypatch)
+    traj = integrate(entry.spec, [0.0, 0.8, 0.3], [1.0, 0.3, -0.8], GaugeChoice.time(),
+                     steps=10, h=0.01, constraint_tol=3e-16, project=True)
+    assert traj.completed and 0 < traj.projected_steps == len(projected_from) < 10
+    for x in projected_from:
+        # the node's batch, read by the rank check, the projection test and
+        # the first iterate; the iterates after it run their own
+        at_x = [(kind, points) for kind, row0, points in passes if np.array_equal(row0, x)]
+        assert at_x == [("compute_jets", 13), ("analyze_frozen", 13)]
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +580,11 @@ def test_reanchor_follows_the_signs_of_the_previous_node():
 
 
 def _failing_at(fn, xs, error):
-    """``fn`` raising ``error`` when called on a single jet at one of ``xs``."""
+    """``fn`` raising ``error`` when called on a single jet at one of ``xs``,
+    or on a jet batch whose row 0 (the point a node or stage resolves) is."""
     def wrapper(jet, *args, **kwargs):
-        if isinstance(jet, Jet2) and any(np.array_equal(jet.x, x) for x in xs):
+        at = jet.x if isinstance(jet, Jet2) else jet.x[0] if isinstance(jet, JetBatch) else None
+        if at is not None and any(np.array_equal(at, x) for x in xs):
             raise error
         return fn(jet, *args, **kwargs)
     return wrapper

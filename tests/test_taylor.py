@@ -123,6 +123,42 @@ def test_pow_rational_and_integer():
         Taylor2.seeded([2.0], [[1.0]]) ** 0.5
 
 
+def test_reflected_subtraction_and_division_by_hand():
+    t = Taylor2.seeded([2.0], [[1.0, 0.0]])
+    d = 5.0 - t
+    assert d.val[0] == 3.0
+    assert np.array_equal(d.grad, [[-1.0, 0.0]])
+    assert np.all(d.hess == 0.0)
+    # 6/u at u = 2: value 6/u, first derivative -6/u^2, second 12/u^3
+    q = 6.0 / Taylor2.seeded([2.0], [[1.0]])
+    assert (q.val[0], q.grad[0, 0], q.hess[0, 0, 0]) == (3.0, -1.5, 1.5)
+    with pytest.raises(DomainError, match="division by zero"):
+        1.0 / Taylor2.seeded([0.0], [[1.0]])
+
+
+def test_integer_powers_zero_and_one():
+    t = Taylor2.seeded([0.0, 3.0], [[1.0, 2.0], [0.5, 0.0]])
+    one = t**0
+    assert np.array_equal(one.val, [1.0, 1.0])
+    assert np.array_equal(one.grad, np.zeros((2, 2)))
+    assert np.array_equal(one.hess, np.zeros((2, 2, 2)))
+    assert t**1 is t
+    # a Fraction with denominator 1 is an integer power
+    from fractions import Fraction
+
+    assert t ** Fraction(1) is t
+
+
+def test_operands_that_do_not_coerce():
+    t = Taylor2.seeded([1.0], [[1.0]])
+    with pytest.raises(ValueError, match="mismatched seed counts"):
+        t + Taylor2.seeded([1.0], [[1.0, 0.0]])
+    for op in (lambda: t + "a", lambda: t * None, lambda: "a" - t, lambda: "a" / t,
+               lambda: t / [1.0]):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_batch_matches_single_point_evaluation():
     vals = np.array([1.0, 2.0, 3.5])
     seeds = np.tile(np.array([[1.0, 0.0]]), (3, 1))

@@ -6,11 +6,12 @@ Run from the root of a checkout, on an otherwise idle machine.  It runs
 the unchanged ``benchmark/run.py`` one run at a time: each workload at
 seeds 1 and 2 with ``--trace 0``, then each workload at seed 1 with
 ``--trace 1``, every run for the full ``SECONDS`` (about 7 minutes in
-all).  Then it runs ``run_verification()`` on the checkout's package.
-The file holds the environment, each run's command, rounds, median
-reference-kernel scale and final JSON line (its end-to-end or per-layer
-metrics), the median scale over all runs, and the value and threshold
-of every ``verify`` check.  Only the standard library and numpy are used.
+all).  Then it runs ``run_verification()`` on the checkout's package and
+times the rows no workload isolates (``ROWS``).  The file holds the
+environment, each run's command, rounds, median reference-kernel scale
+and final JSON line (its end-to-end or per-layer metrics), the median
+scale over all runs, the value and threshold of every ``verify`` check,
+and each row's time.  Only the standard library and numpy are used.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import re
 import statistics
 import subprocess
 import sys
+import timeit
 from pathlib import Path
 
 ROOT = Path.cwd()
@@ -37,6 +39,13 @@ SEEDS = (1, 2)
 TRACED_SEED = 1
 SECONDS = 35
 SUMMARY = re.compile(r": (\d+) rounds, .*median scale ([0-9.]+)\)")
+# (catalog entry, x, dx) of the constrained rows: a time-gauge point on
+# each singular entry's branch
+ROW_POINTS = {
+    "second-class": ((0.0, 0.8, 0.3), (1.0, 0.3, -0.8)),
+    "frenkel": ((0.0, 0.1, -0.2, 0.0), (1.0, 0.5, 0.4, 1e-4)),
+}
+ROW_REPEATS = 2000
 
 
 def environment() -> dict:
@@ -75,6 +84,29 @@ def bench_run(workload: str, seed: int, trace: int) -> dict:
     }
 
 
+def rows(pkg) -> list[dict]:
+    """Microseconds per call (20th percentile of ``ROW_REPEATS`` single
+    calls) of one RK4 stage of ``integrate`` (``_resolve`` building its
+    constraint-gradient batch) and of one node (``_node_batch``: the
+    node's batch, rank check and sign anchoring, which the next step's
+    first stage then reads) at each of ``ROW_POINTS``."""
+    ap = pkg.autoparallel
+    out = []
+    for name, (x, dx) in ROW_POINTS.items():
+        spec = pkg.catalog.catalog_entry(name).spec
+        x, dx = np.array(x), np.array(dx)
+        deg = pkg.degeneracy.analyze(pkg.jet.compute_jet(spec, x=x, dx=dx))
+        gauge = ap.GaugeChoice.time()
+        calls = {
+            "stage": lambda: ap._resolve(spec, x, dx, gauge, 0.0, deg),
+            "node": lambda: ap._node_batch(spec, x, dx, deg, 1e-9),
+        }
+        for row, call in calls.items():
+            times = timeit.repeat(call, number=1, repeat=ROW_REPEATS)
+            out.append({"row": f"{row}/{name}", "us": 1e6 * float(np.percentile(times, 20))})
+    return out
+
+
 def finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
@@ -90,7 +122,8 @@ def main(argv: list[str]) -> int:
                 print(f"{workload} seed {seed} trace {trace}", file=sys.stderr, flush=True)
                 runs.append(bench_run(workload, seed, trace))
     scales = [r["median_scale"] for r in runs if r["median_scale"] is not None]
-    checks = run.load_package().cli.run_verification()
+    pkg = run.load_package()
+    checks = pkg.cli.run_verification()
     snapshot = {
         "environment": environment(),
         "seconds": SECONDS,
@@ -101,6 +134,7 @@ def main(argv: list[str]) -> int:
              "threshold": finite_or_none(float(c.threshold))}
             for c in checks
         ],
+        "rows": rows(pkg),
     }
     Path(argv[0]).write_text(json.dumps(snapshot, indent=1) + "\n", encoding="utf-8")
     return 0

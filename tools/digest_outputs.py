@@ -14,10 +14,13 @@ through ``benchmark/run.py``'s loader, and the inputs come from
 - 24 transports of a random ``Z0``, 6 each on four regular metrics;
 - the exit code, stdout and stderr of ``finslerconn.cli.main`` on a fixed
   list of failing inputs (``CLI_FAILURES``);
-- three ``integrate`` runs that no benchmark round reaches
+- five ``integrate`` runs that no benchmark round reaches
   (``integrate_lines``): a rank transition, a Frenkel curve decaying onto
-  its constraint surface and a custom gauge, with every node field, the
-  events, the halt and the RK4 stage record;
+  its constraint surface, a custom gauge, a second-class curve projected
+  at most of its nodes, and a Frenkel curve whose last node's
+  constraint-gradient stencil leaves ``d0 > 0`` while the node does not,
+  with every node field, the events, the projected steps, the halt and
+  the RK4 stage record;
 - ``resolve_multipliers`` in the time gauge at 3 sampled points of each
   catalog entry (``RESOLVE_POINTS``), with every field of the
   ``MultiplierResolution`` (its jet and ``DegeneracyData`` included), or
@@ -181,6 +184,12 @@ def integrate_lines(pkg):
             ap.GaugeChoice.time(), steps=40, h=1e-2),
         "custom-gauge": lambda: ap.integrate(
             riemann, x0, dx0, ap.GaugeChoice.custom(lambda x, dx: 0.0), steps=40, h=1e-2),
+        "second-class-projected": lambda: ap.integrate(
+            entries["second-class"].spec, [0.0, 0.8, 0.3], [1.0, 0.3, -0.8],
+            ap.GaugeChoice.time(), steps=40, h=1e-2, constraint_tol=3e-16, project=True),
+        "frenkel-stencil-guard": lambda: ap.integrate(
+            entries["frenkel"].spec, [0.34, 0.39, -0.67, -0.95], [1.46612e-05, 0.93, 0.29, 0.89],
+            ap.GaugeChoice.time(), steps=40, h=1e-2, constraint_tol=1e3),
     }
     for name, run_it in runs.items():
         try:
