@@ -258,6 +258,12 @@ def _c_gradients(
     return jets[0], degs[0], Cs[0], (gx, gdx)
 
 
+def _own_batch(jet: Jet2, deg: DegeneracyData) -> tuple | None:
+    """The :func:`_c_gradients` batch of a regular point, the point alone;
+    None on a constrained branch, whose batch needs the stencil."""
+    return None if deg.D else (jet, deg, np.zeros(0), None)
+
+
 def _consistency_rows(grads, dx, vs, accel_base):
     """The D consistency rows dC_J/dtau = 0 over [eta, lambda^I], with
     their right-hand sides and scales, stacked.  ``np.vecdot`` and the
@@ -285,27 +291,21 @@ def _resolve(
     gauge: GaugeChoice,
     tau: float,
     base: DegeneracyData,
-    point: tuple[Jet2, DegeneracyData] | None = None,
     batch: tuple | None = None,
 ) -> MultiplierResolution:
     """The multipliers at (x, dx) on ``base``'s branch, from row 0 of the
-    :func:`_c_gradients` batch, or from ``point``, the (jet, deg) of
-    (x, dx) when the caller holds them (a regular branch then builds no
-    batch), or from ``batch``, that batch when the caller holds it (then
-    nothing is built).  Errors come in per-point order: the point's own,
-    its gauge row's, then the first failing stencil row's."""
+    :func:`_c_gradients` batch of (x, dx), built here unless the caller
+    holds it as ``batch``.  When that batch raises, the point is replayed
+    alone, so errors come in per-point order: the point's own, its gauge
+    row's, then the first failing stencil row's."""
     failure = None
-    if batch is not None:
-        jet, deg, C, grads = batch
-    elif point is not None and not base.D:
-        (jet, deg), C = point, np.zeros(0)
-    else:
+    if batch is None:
         try:
-            jet, deg, C, grads = _c_gradients(spec, x, dx, base)
+            batch = _c_gradients(spec, x, dx, base)
         except (DomainError, DegeneracyError) as exc:
             jet = compute_jet(spec, x=x, dx=dx, validate=False)
-            deg, failure = analyze_frozen(jet, base), exc
-        jet, deg = point or (jet, deg)
+            batch, failure = (jet, analyze_frozen(jet, base), None, None), exc
+    jet, deg, C, grads = batch
     M = moment_map(jet)
     a_idx = np.asarray(deg.a_indices, dtype=int)
     lambda_a = deg.Lab_inv @ M[a_idx] if a_idx.size else np.zeros(0)
@@ -346,7 +346,7 @@ def _resolve(
 
     if failure is not None:
         raise failure
-    row_scale_max = 0.0
+    row_scale_max, free_cols = 0.0, []
     if D:
         rows, rhs, row_scales = _consistency_rows(grads, dx, vs, accel_base)
         row_scale_max = float(np.max(row_scales))
@@ -355,17 +355,20 @@ def _resolve(
         )
         A = np.vstack([row0[None, :], rows[keep]])
         b = np.concatenate([[rhs0], rhs[keep]])
+        # multiplier columns absent from every kept row, each row relative
+        # to its own scale (so units do not matter), are first-class freedoms
+        scales = np.concatenate([[row0_scale], row_scales[keep]])
+        A_unit = A / (scales[:, None] + 1e-300)
+        col_norm_ref = float(np.linalg.norm(A_unit)) + 1e-300
+        free_cols = [
+            j
+            for j in range(1, unknowns)
+            if float(np.linalg.norm(A_unit[:, j])) <= ROW_ZERO_TOL * col_norm_ref
+        ]
     else:
         A, b = row0[None, :], np.array([rhs0])
 
-    # multiplier columns absent from every kept row are first-class freedoms
     lam_vals = np.zeros(D)
-    col_norm_ref = float(np.linalg.norm(A)) + 1e-300
-    free_cols = [
-        j
-        for j in range(1, unknowns)
-        if float(np.linalg.norm(A[:, j])) <= ROW_ZERO_TOL * col_norm_ref
-    ]
     for j in free_cols:
         slot = j - 1
         if gauge.free_policy is not None:
@@ -428,7 +431,7 @@ def resolve_multipliers(
     jet = compute_jet(spec, pt=state, validate=False)
     if deg is None:
         deg = analyze(jet, rank_tol=rank_tol)
-    return _resolve(spec, jet.x, jet.dx, gauge, tau, deg, (jet, deg))
+    return _resolve(spec, jet.x, jet.dx, gauge, tau, deg, _own_batch(jet, deg))
 
 
 # ---------------------------------------------------------------------------
@@ -515,20 +518,35 @@ def _rk4(rates, y: tuple, tau: float, h: float, k1: tuple) -> tuple:
     )
 
 
-def _node_batch(spec: dsl.MetricSpec, x, dx, base: DegeneracyData, rank_tol: float):
-    """The :func:`_c_gradients` batch of a new node (x, dx) on the previous
-    node ``base``'s branch, with the node's sign-anchoring events; no
-    batch when it fails, the rank changes or a sign flips, so that the
-    node takes the single-point path and raises there what it raises."""
+def _node(spec: dsl.MetricSpec, x, dx, base: DegeneracyData, rank_tol: float):
+    """The new node (x, dx) as row 0 of its :func:`_c_gradients` batch on
+    the previous node ``base``'s branch: its jet, DegeneracyData, that
+    batch while the rank holds and no sign flips (else None on a
+    constrained branch), and its sign events; the halt reason when the
+    point leaves the domain.  A rank change analyzes row 0 afresh; a batch
+    that raises is replayed for the point alone, which raises first."""
     try:
         batch = _c_gradients(spec, x, dx, base)
+        jet, deg = batch[:2]
     except (DomainError, DegeneracyError, np.linalg.LinAlgError):
-        return None, []
-    deg = batch[1]
-    if _ranks(deg.sing_values[None], rank_tol)[0] != base.rank:
-        return None, []
+        batch = None
+        try:
+            jet = compute_jet(spec, x=x, dx=dx, validate=False)
+        except DomainError as exc:
+            return f"inadmissible: {exc}"
+        try:
+            deg = analyze_frozen(jet, base)
+        except DegeneracyError:
+            deg = None
+    # same rank: keep the previous index split and eigenvector signs so
+    # labels (and any free-multiplier policy keyed on them) stay stable;
+    # analyze afresh when the rank changes or the old block degrades
+    if deg is None or _ranks(deg.sing_values[None], rank_tol)[0] != base.rank:
+        deg, batch = analyze(jet, rank_tol=rank_tol), None
     anchored, events = _reanchor(deg, base.v_raw)
-    return (batch, events) if anchored is deg else (None, [])
+    if batch is None or anchored is not deg:
+        batch = _own_batch(jet, anchored)
+    return jet, anchored, batch, events
 
 
 # runtime failures that end a run with ``halt_reason`` instead of raising
@@ -549,8 +567,8 @@ def integrate(
     """Integrate the auto-parallel equation with classical fixed-step RK4.
 
     Each stage resolves its multipliers from one jet batch on the
-    structural branch of the step's start node; on a constrained branch a
-    new node's batch is also the next step's first stage.  A new node
+    structural branch of the step's start node; every new node is row 0 of
+    such a batch, the next step's first stage (:func:`_node`).  A node
     keeps that branch while the rank of its frozen analysis holds and is
     re-analyzed when the rank changes or the block degrades; structure
     changes are logged and eigenvector signs re-anchored.  Runtime failures
@@ -597,7 +615,7 @@ def integrate(
     tau = 0.0
     structure = (deg.rank, deg.a_indices, deg.I_indices)
     pending_events: list[str] = []
-    held = None  # the node's _c_gradients batch, when the node built one
+    held = _own_batch(jet, deg)  # the node's _c_gradients batch, when it holds one
 
     for k in range(steps + 1):
         stage_states = [(x, dx)]
@@ -608,7 +626,7 @@ def integrate(
             return y[1], _resolve(spec, y[0], y[1], gauge, tau_s, deg).accel
 
         try:
-            res1 = _resolve(spec, x, dx, gauge, tau, deg, (jet, deg), held)
+            res1 = _resolve(spec, x, dx, gauge, tau, deg, held)
             traj.nodes.append(_node_from(res1, tau, tuple(pending_events)))
             pending_events = []
             if k == steps:
@@ -625,41 +643,21 @@ def integrate(
         if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(dx_new))):
             traj.halt_reason = "non-finite state"
             break
-        # a constrained node is row 0 of the batch that resolves the next
-        # step; without that batch the node takes the single-point path
-        held, flips = _node_batch(spec, x_new, dx_new, deg, rank_tol) if deg.D else (None, [])
-        if held is None:
-            try:
-                jet = compute_jet(spec, x=x_new, dx=dx_new, validate=False)
-            except DomainError as exc:
-                traj.halt_reason = f"inadmissible: {exc}"
-                break
-
-        # same rank: keep the previous index split and eigenvector signs so
-        # labels (and any free-multiplier policy keyed on them) stay stable;
-        # analyze afresh when the rank changes or the old block degrades
         projected = False
         try:
-            if held is None:
-                try:
-                    deg_new = analyze_frozen(jet, deg)
-                except DegeneracyError:
-                    deg_new = None
-                if deg_new is None or _ranks(deg_new.sing_values[None], rank_tol)[0] != deg.rank:
-                    deg_new = analyze(jet, rank_tol=rank_tol)
-                deg_new, flips = _reanchor(deg_new, deg.v_raw)
-            else:
-                jet, deg_new = held[:2]
+            node = _node(spec, x_new, dx_new, deg, rank_tol)
+            if isinstance(node, str):
+                traj.halt_reason = node
+                break
+            jet, deg, held, flips = node
             pending_events.extend(flips)
-            deg = deg_new
-
             if project and deg.D:
                 C_now = constraint_residuals(jet, deg) if held is None else held[2]
                 if float(np.max(np.abs(C_now))) > 10.0 * constraint_tol * c_scale:
                     x_new, dx_new = _project_onto_constraints(spec, x_new, dx_new, deg, held)
-                    held = None
                     jet = compute_jet(spec, x=x_new, dx=dx_new, validate=False)
-                    deg, _ = _reanchor(analyze(jet, rank_tol=rank_tol), deg_new.v_raw)
+                    deg, _ = _reanchor(analyze(jet, rank_tol=rank_tol), deg.v_raw)
+                    held = _own_batch(jet, deg)
                     traj.projected_steps += 1
                     projected = True
         except _HALTING_ERRORS as exc:

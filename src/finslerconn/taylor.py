@@ -24,10 +24,8 @@ __all__ = ["Taylor2"]
 
 def _as_batch(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
     if arr.ndim != 1:
-        raise ValueError(f"Taylor2 values must be scalars or 1-d batches, got shape {arr.shape}")
+        raise ValueError(f"Taylor2 values must be 1-d batches, got shape {arr.shape}")
     return arr
 
 
@@ -65,15 +63,8 @@ class Taylor2:
         return cls(val, rows.copy(), np.zeros((b, k, k)))
 
     @property
-    def batch_size(self) -> int:
-        return self.val.shape[0]
-
-    @property
     def num_seeds(self) -> int:
         return self.grad.shape[1]
-
-    def __repr__(self):
-        return f"Taylor2(B={self.batch_size}, k={self.num_seeds}, val={self.val!r})"
 
     # -- helpers ---------------------------------------------------------
 
@@ -222,7 +213,4 @@ class Taylor2:
             raise DomainError("abs evaluated at zero has no derivative")
         sign = np.sign(self.val)
         return self._unary(np.abs(self.val), sign, np.zeros_like(self.val))
-
-    def __abs__(self):
-        return self.abs()
 

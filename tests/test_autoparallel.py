@@ -1,6 +1,7 @@
 """Integration, multiplier resolution, transport and gauge behavior."""
 
 import logging
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -181,6 +182,7 @@ def test_each_stage_does_its_jet_work_once(monkeypatch, name, x0, dx0):
 
 def test_regular_step_does_one_jet_per_node_and_stage(monkeypatch):
     counts = _count_jet_work(monkeypatch)
+    passes = _jet_passes(monkeypatch)
     entry = catalog_entry("riemann-2d-curved")
     x0, dx0 = np.array([1.2, 0.3]), np.array([0.6, 0.5])
     steps = 5
@@ -191,6 +193,12 @@ def test_regular_step_does_one_jet_per_node_and_stage(monkeypatch):
     assert sum(counts["jet"].values()) == 1 + 4 * steps
     assert sum(counts["frozen"].values()) == 4 * steps
     assert sum(counts["analyze"].values()) == 1
+    # node 0 is its single validated jet and its analyze; every later node
+    # is its own batch of one, which also resolves the next step's k1
+    for k, node in enumerate(traj.nodes):
+        at_node = [(kind, points) for kind, x, points in passes if np.array_equal(x, node.x)]
+        assert at_node == ([("compute_jets", 1), ("analyze_frozen", 1)] if k
+                           else [("compute_jet", 1)])
 
 
 def _jet_passes(monkeypatch):
@@ -255,23 +263,28 @@ def test_node_whose_stencil_leaves_the_domain_takes_the_single_point_path(monkey
     assert not any(np.array_equal(node.x, x3) for node in traj.nodes)
 
 
-def test_node_with_a_rank_change_takes_the_single_point_path(monkeypatch):
+def test_node_with_a_rank_change_analyzes_its_batch_row_0(monkeypatch):
     spec = catalog_entry("frenkel").spec
     passes = _jet_passes(monkeypatch)
+    analyzed = []
+    analyze_ = autoparallel.analyze
+    monkeypatch.setattr(autoparallel, "analyze",
+                        lambda jet, **kw: analyzed.append(jet.x) or analyze_(jet, **kw))
     traj = integrate(spec, [0.6, 0.78, 0.96, -0.26], [1.10967e-05, -0.78, -0.13, 0.61],
                      GaugeChoice.time(), steps=40, h=1e-3, constraint_tol=1e3)
     assert traj.completed and traj.events == [(31, "rank-transition 1 -> 2")]
     x31 = traj.nodes[31].x
     at_x31 = [(kind, points) for kind, x, points in passes if np.array_equal(x, x31)]
-    # the batch on the old branch, the single-point rank decision, then the
-    # next step's k1 batch on the new branch
-    assert at_x31 == [("compute_jets", 17), ("analyze_frozen", 17), ("compute_jet", 1),
-                      ("analyze_frozen", 1), ("compute_jets", 17), ("analyze_frozen", 17)]
+    # the batch on the old branch, whose row 0 the rank change analyzes,
+    # then the next step's k1 batch on the new branch; no single-point pass
+    assert at_x31 == [("compute_jets", 17), ("analyze_frozen", 17),
+                      ("compute_jets", 17), ("analyze_frozen", 17)]
+    assert sum(np.array_equal(x, x31) for x in analyzed) == 1
 
 
-def test_single_point_node_path_gives_the_batch_path_bits(monkeypatch):
+def test_dropped_node_batch_gives_the_held_batch_bits(monkeypatch):
     # a _reanchor that always returns a copy reads as a flipped sign, so
-    # every node takes the single-point path of a batch it drops
+    # every node drops its batch and the next step's k1 builds it again
     spec = catalog_entry("second-class").spec
     x0, dx0 = [0.0, 0.8, 0.3], [1.0, 0.3, -0.8]
 
@@ -284,8 +297,9 @@ def test_single_point_node_path_gives_the_batch_path_bits(monkeypatch):
                         lambda deg, prev: (replace(reanchor(deg, prev)[0]), []))
     passes = _jet_passes(monkeypatch)
     single = run()
-    # per step: the dropped node batch, its single-point jet and four stages
-    assert sum(kind != "analyze_frozen" for kind, _, _ in passes) == 2 + 6 * 10
+    # node 0's validated jet and k1 batch; per step three later stages,
+    # the dropped node batch and the next k1 batch
+    assert sum(kind != "analyze_frozen" for kind, _, _ in passes) == 2 + 5 * 10
     for a, b in zip(held.nodes, single.nodes, strict=True):
         for f in fields(a):
             assert same_bits(getattr(a, f.name), getattr(b, f.name)), f.name
@@ -342,6 +356,20 @@ def test_second_class_rotation_and_conservation():
     assert max(np.max(np.abs(n.C)) for n in traj.nodes) < 1e-8
     energy = [0.5 * float((n.dx[1:] / n.dx[0]) @ (n.dx[1:] / n.dx[0])) for n in traj.nodes]
     assert max(abs(e - energy[0]) for e in energy) < 1e-8
+
+
+@pytest.mark.parametrize("c, s", [(1.0, 1.0), (1e-8, 1.0), (1.0, 1e-4), (1e3, 1e-4)])
+def test_second_class_free_count_does_not_depend_on_units(c, s):
+    # L -> c L in the chart x = s y: every x_i becomes s y_i, every d_i
+    # becomes s e_i, and the curve maps node by node to the unscaled one
+    text = re.sub(r"\b([xd])(\d)\b", rf"({s!r}*\1\2)", "x1*d2 - x2*d1 + (x1^2 + x2^2)*d0")
+    spec = parse(f"{c!r}*({text})", dimension=3)
+    x0, dx0 = np.array([0.0, 0.8, 0.3]), np.array([1.0, 0.3, -0.8])
+    traj = integrate(spec, x0 / s, dx0 / s, GaugeChoice.time(), steps=40, h=0.01)
+    assert traj.completed
+    assert all(n.gauge_dim_free == 0 for n in traj.nodes)
+    oracle = oscillator_oracle((dx0[1], dx0[2]), traj.taus[-1], x0=x0)
+    assert np.max(np.abs(s * traj.xs[-1] - oracle["x"])) < 3e-10  # 2.85e-11 measured
 
 
 def test_frenkel_family_reproduced_by_free_multipliers():

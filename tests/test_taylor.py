@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import fd_dx_gradient, fd_dx_hessian, sample_points
 from finslerconn.catalog import catalog
+from finslerconn.dsl import parse
 from finslerconn.errors import DomainError
 from finslerconn.jet import compute_jet, compute_jets
 from finslerconn.taylor import Taylor2
@@ -119,6 +120,8 @@ def test_pow_rational_and_integer():
     assert ti.val[0] == pytest.approx(1.0 / 9.0)
     with pytest.raises(DomainError):
         Taylor2.seeded([-2.0], [[1.0]]) ** Fraction(1, 2)
+    with pytest.raises(DomainError, match="zero raised to a negative power"):
+        Taylor2.seeded([0.0], [[1.0]]) ** -2
     with pytest.raises(TypeError):
         Taylor2.seeded([2.0], [[1.0]]) ** 0.5
 
@@ -153,10 +156,39 @@ def test_operands_that_do_not_coerce():
     t = Taylor2.seeded([1.0], [[1.0]])
     with pytest.raises(ValueError, match="mismatched seed counts"):
         t + Taylor2.seeded([1.0], [[1.0, 0.0]])
-    for op in (lambda: t + "a", lambda: t * None, lambda: "a" - t, lambda: "a" / t,
-               lambda: t / [1.0]):
+    for op in (lambda: t + "a", lambda: t - "a", lambda: t * None, lambda: "a" - t,
+               lambda: "a" / t, lambda: t / [1.0]):
         with pytest.raises(TypeError):
             op()
+
+
+@pytest.mark.parametrize("values", [2.0, [[1.0, 2.0]]])
+def test_values_must_be_a_1d_batch(values):
+    with pytest.raises(ValueError, match="Taylor2 values must be 1-d batches"):
+        Taylor2.constant(values, 2)
+
+
+def test_negation_and_exp_by_hand():
+    n = -Taylor2.seeded([2.0], [[1.0, 0.0]])
+    assert (n.val[0], n.grad.tolist(), n.hess.tolist()) == (-2.0, [[-1.0, 0.0]],
+                                                            [[[0.0, 0.0], [0.0, 0.0]]])
+    # exp(2u) at u = 0: value 1, first derivative 2, second 4
+    e = Taylor2.seeded([0.0], [[2.0]]).exp()
+    assert (e.val[0], e.grad[0, 0], e.hess[0, 0, 0]) == (1.0, 2.0, 4.0)
+
+
+def test_unary_minus_and_exp_through_the_dsl():
+    # L = exp(x0) |dx| + (-x0) d1 at x = (0, 0), dx = (3, 4), u = dx/5:
+    # p = u, dL/dx = (|dx| - d1, 0), L2 = (I - u u^T)/5, and the mixed
+    # block d^2 L / (d d_i d x_j) has the single column u - e_1 at j = 0
+    spec = parse("exp(x0)*sqrt(d0^2 + d1^2) + -x0*d1", dimension=2)
+    jet = compute_jet(spec, x=[0.0, 0.0], dx=[3.0, 4.0])
+    u = np.array([0.6, 0.8])
+    assert jet.L == 5.0
+    np.testing.assert_allclose(jet.p, u, rtol=1e-15)
+    np.testing.assert_allclose(jet.dL_dx, [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(jet.L2, (np.eye(2) - np.outer(u, u)) / 5.0, atol=1e-16)
+    np.testing.assert_allclose(jet.mixed, [[0.6, 0.0], [-0.2, 0.0]], atol=1e-15)
 
 
 def test_batch_matches_single_point_evaluation():

@@ -87,9 +87,9 @@ def bench_run(workload: str, seed: int, trace: int) -> dict:
 def rows(pkg) -> list[dict]:
     """Microseconds per call (20th percentile of ``ROW_REPEATS`` single
     calls) of one RK4 stage of ``integrate`` (``_resolve`` building its
-    constraint-gradient batch) and of one node (``_node_batch``: the
-    node's batch, rank check and sign anchoring, which the next step's
-    first stage then reads) at each of ``ROW_POINTS``."""
+    constraint-gradient batch) and of one node (``_node``: the node's
+    batch, rank check and sign anchoring, which the next step's first
+    stage then reads) at each of ``ROW_POINTS``."""
     ap = pkg.autoparallel
     out = []
     for name, (x, dx) in ROW_POINTS.items():
@@ -99,7 +99,7 @@ def rows(pkg) -> list[dict]:
         gauge = ap.GaugeChoice.time()
         calls = {
             "stage": lambda: ap._resolve(spec, x, dx, gauge, 0.0, deg),
-            "node": lambda: ap._node_batch(spec, x, dx, deg, 1e-9),
+            "node": lambda: ap._node(spec, x, dx, deg, 1e-9),
         }
         for row, call in calls.items():
             times = timeit.repeat(call, number=1, repeat=ROW_REPEATS)

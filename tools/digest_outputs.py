@@ -14,13 +14,15 @@ through ``benchmark/run.py``'s loader, and the inputs come from
 - 24 transports of a random ``Z0``, 6 each on four regular metrics;
 - the exit code, stdout and stderr of ``finslerconn.cli.main`` on a fixed
   list of failing inputs (``CLI_FAILURES``);
-- five ``integrate`` runs that no benchmark round reaches
+- six ``integrate`` runs that no benchmark round reaches
   (``integrate_lines``): a rank transition, a Frenkel curve decaying onto
   its constraint surface, a custom gauge, a second-class curve projected
-  at most of its nodes, and a Frenkel curve whose last node's
+  at most of its nodes, a Frenkel curve whose last node's
   constraint-gradient stencil leaves ``d0 > 0`` while the node does not,
-  with every node field, the events, the projected steps, the halt and
-  the RK4 stage record;
+  and a regular curve whose second node leaves its guard while every RK4
+  stage before it stays inside (the ``"inadmissible: "`` halt), with
+  every node field, the events, the projected steps, the halt and the
+  RK4 stage record;
 - ``resolve_multipliers`` in the time gauge at 3 sampled points of each
   catalog entry (``RESOLVE_POINTS``), with every field of the
   ``MultiplierResolution`` (its jet and ``DegeneracyData`` included), or
@@ -172,6 +174,7 @@ def integrate_lines(pkg):
     ap = pkg.autoparallel
     entries = {e.name: e for e in pkg.catalog.catalog()}
     rank_drop = pkg.dsl.parse("sqrt(d0^2 + d1^2 + x0^2*d2^2)", dimension=3)
+    guarded = pkg.dsl.parse("sqrt(d0^2 + d1^2)", dimension=2, guard="30 - d0")
     riemann = entries["riemann-2d-curved"].spec
     x0, dx0 = np.array([1.2, 0.3]), np.array([0.6, 0.5])
     dx0 = dx0 / pkg.dsl.evaluate(riemann, x0, dx0)
@@ -190,6 +193,10 @@ def integrate_lines(pkg):
         "frenkel-stencil-guard": lambda: ap.integrate(
             entries["frenkel"].spec, [0.34, 0.39, -0.67, -0.95], [1.46612e-05, 0.93, 0.29, 0.89],
             ap.GaugeChoice.time(), steps=40, h=1e-2, constraint_tol=1e3),
+        "inadmissible-node": lambda: ap.integrate(
+            guarded, [0.0, 0.0], [1.0, 0.0],
+            ap.GaugeChoice.custom(lambda x, dx: 4.0 * float(np.linalg.norm(dx))),
+            steps=3, h=1.0),
     }
     for name, run_it in runs.items():
         try:
